@@ -160,11 +160,9 @@ def make_initial_field(grid: GridSpec, initial: str) -> np.ndarray:
     if parsed[0] == "mode":
         _, k1, k2 = parsed
         try:
-            phi1, phi2 = FourierMode(k1, k2).phases(grid)
+            return np.cos(FourierMode(k1, k2).phase_field(grid))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        ang = phi1 * np.arange(grid.m1)[:, None] + phi2 * np.arange(grid.m2)[None, :]
-        return np.cos(ang)
     _, seed = parsed
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(grid.shape)

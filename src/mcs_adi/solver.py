@@ -17,11 +17,11 @@ step with parameter theta advances U by
     U+   = Yt2
 
 and the Douglas step is the first three lines alone.  The implicit stages
-are constant-coefficient cyclic tridiagonal systems, solved by the
-Sherman-Morrison-corrected Thomas algorithm with a dense fallback when the
-pivot-free factorization breaks down.  Every directional solve is verified
-a posteriori by a cheap residual check; a failed check raises
-SingularSystemError instead of returning garbage.
+are constant-coefficient cyclic tridiagonal systems, circulant along their
+direction, so a real FFT along the axis, a division by the eigenvalues and
+the inverse FFT solve every grid line at once.  A singular stage matrix
+raises SingularSystemError, and every solve is verified a posteriori by
+its normwise backward error in physical space.
 
 `mode_amplification` closes the loop with the Fourier analysis: it runs the
 actual stepper on a cosine/sine mode pair and projects out the complex
@@ -39,13 +39,7 @@ import numpy as np
 from .spectrum import FourierMode, GridSpec, PdeCoefficients, fourier_symbols
 from .stability import DomainError, SchemeParams, SpectralPoint, eval_stability_function
 
-#: A Thomas pivot below _PIVOT_RTOL * (coefficient scale) triggers the dense fallback.
-_PIVOT_RTOL = 1e-13
-
-#: Minimum modulus of the Sherman-Morrison correction denominator.
-_SM_DENOM_MIN = 1e-12
-
-#: Directional solves must satisfy ||residual||_inf <= _RESIDUAL_RTOL * ||rhs||_inf.
+#: Relative tolerance of the normwise backward-error check of solve_directional.
 _RESIDUAL_RTOL = 1e-10
 
 
@@ -53,88 +47,8 @@ class SingularSystemError(ArithmeticError):
     """An implicit stage system was (numerically) singular."""
 
 
-class _CyclicTridiagonal:
-    """Constant-coefficient cyclic tridiagonal matrix with a prepared solver.
-
-    The matrix has `diag` on the diagonal, `sup` on the superdiagonal,
-    `sub` on the subdiagonal, and the periodic corner entries
-    A[0, n-1] = sub, A[n-1, 0] = sup.  Factorization strategy: rank-one
-    split A = T + u v^T with a pivot-free Thomas factorization of T; if any
-    pivot or the Sherman-Morrison denominator is too small the instance
-    falls back to a stored dense matrix and `np.linalg.solve`.
-    """
-
-    def __init__(self, sub: float, diag: float, sup: float, n: int):
-        if n < 3:
-            raise DomainError(f"cyclic tridiagonal needs n >= 3, got {n}")
-        self.sub, self.diag, self.sup, self.n = sub, diag, sup, n
-        self._dense = None
-        if not self._factorize():
-            self._dense = self._dense_matrix()
-
-    def _factorize(self) -> bool:
-        sub, diag, sup, n = self.sub, self.diag, self.sup, self.n
-        scale = abs(diag) + abs(sub) + abs(sup)
-        gamma = -diag if diag != 0.0 else -1.0
-        t = np.full(n, diag)
-        t[0] = diag - gamma
-        t[-1] = diag - sup * sub / gamma
-        lo = np.zeros(n)
-        dn = np.zeros(n)
-        dn[0] = t[0]
-        if not abs(dn[0]) > _PIVOT_RTOL * scale:
-            return False
-        for i in range(1, n):
-            lo[i] = sub / dn[i - 1]
-            dn[i] = t[i] - lo[i] * sup
-            if not abs(dn[i]) > _PIVOT_RTOL * scale:
-                return False
-        self._lo, self._dn, self._gamma = lo, dn, gamma
-        u = np.zeros((n, 1))
-        u[0, 0] = gamma
-        u[-1, 0] = sup
-        self._q = self._thomas(u)[:, 0]
-        self._den = 1.0 + self._q[0] + (sub / gamma) * self._q[-1]
-        return abs(self._den) > _SM_DENOM_MIN
-
-    def _dense_matrix(self) -> np.ndarray:
-        n = self.n
-        a = np.zeros((n, n))
-        idx = np.arange(n)
-        a[idx, idx] = self.diag
-        a[idx, (idx + 1) % n] = self.sup
-        a[idx, (idx - 1) % n] = self.sub
-        return a
-
-    def _thomas(self, rhs: np.ndarray) -> np.ndarray:
-        n, lo, dn, sup = self.n, self._lo, self._dn, self.sup
-        y = rhs.copy()
-        for i in range(1, n):
-            y[i] -= lo[i] * y[i - 1]
-        y[n - 1] /= dn[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = (y[i] - sup * y[i + 1]) / dn[i]
-        return y
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs for each column of rhs (shape (n, ...))."""
-        if self._dense is not None:
-            return np.linalg.solve(self._dense, rhs)
-        y = self._thomas(rhs)
-        corr = (y[0] + (self.sub / self._gamma) * y[-1]) / self._den
-        return y - np.multiply.outer(self._q, corr)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply A along axis 0 (independent of the factorization path)."""
-        return (
-            self.diag * x
-            + self.sup * np.roll(x, -1, axis=0)
-            + self.sub * np.roll(x, 1, axis=0)
-        )
-
-
 class SplitOperators:
-    """Stencil coefficients of A0, A1, A2 on one grid, with a solver cache.
+    """Stencil coefficients of A0, A1, A2 on one grid.
 
     The unidirectional stencils are (sub, diag, sup) triples; the mixed
     stencil is a dict offset -> weight over the nine-point neighborhood,
@@ -145,8 +59,7 @@ class SplitOperators:
         weight(+1,-1) = weight(-1,+1) = -(1 - beta) s
         weight(0,0) = 4 beta s,   edge midpoints  -2 beta s
 
-    where s = (d12 + d21) / (4 dx dy).  Cached factorizations are keyed by
-    (direction, theta*dt), so repeated steps reuse them.
+    where s = (d12 + d21) / (4 dx dy).
     """
 
     def __init__(self, coeffs: PdeCoefficients, grid: GridSpec):
@@ -172,7 +85,6 @@ class SplitOperators:
             (0, 1): -2.0 * beta * s,
             (0, -1): -2.0 * beta * s,
         }
-        self._solvers: dict[tuple[int, float], _CyclicTridiagonal] = {}
 
     def directional_stencil(self, j: int) -> tuple[float, float, float, int]:
         """(sub, diag, sup, n) of the implicit direction j in {1, 2}."""
@@ -181,15 +93,6 @@ class SplitOperators:
         if j == 2:
             return (self.y_sub, self.y_diag, self.y_sup, self.grid.m2)
         raise DomainError(f"implicit direction must be 1 or 2, got {j}")
-
-    def _solver(self, j: int, theta_dt: float) -> _CyclicTridiagonal:
-        key = (j, theta_dt)
-        cy = self._solvers.get(key)
-        if cy is None:
-            sub, diag, sup, n = self.directional_stencil(j)
-            cy = _CyclicTridiagonal(-theta_dt * sub, 1.0 - theta_dt * diag, -theta_dt * sup, n)
-            self._solvers[key] = cy
-        return cy
 
 
 def build_split_operators(coeffs: PdeCoefficients, grid: GridSpec) -> SplitOperators:
@@ -233,30 +136,49 @@ def apply_split_operator(ops: SplitOperators, j: int, u: np.ndarray) -> np.ndarr
 def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - theta_dt * A_j) x = rhs for an implicit direction j in {1, 2}.
 
-    theta_dt = 0 short-circuits to a copy of rhs.  The solution is checked
-    against the system to ||residual||_inf <= 1e-10 ||rhs||_inf; failure of
-    the check (or of the dense fallback) raises SingularSystemError.
+    The stage matrix M, with stencil (m_sub, m_diag, m_sup), is circulant
+    along axis j - 1, so Fourier mode k of n is an eigenvector of M with
+    eigenvalue lam_k = m_diag + (m_sub + m_sup) cos(phi_k) + i (m_sup - m_sub)
+    sin(phi_k), phi_k = 2 pi k / n.  All grid lines are solved at once by
+    rfft, division by lam_k and irfft.  A diagonal M (e.g. theta_dt = 0)
+    returns rhs / m_diag exactly.
+
+    SingularSystemError is raised whenever min|lam_k| <= n eps max|lam_k|,
+    whatever the right-hand side (for PSD operators and theta_dt > 0 every
+    |lam_k| >= 1), and when x misses the normwise backward error
+    ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf), checked in
+    physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.
     """
     rhs = validate_field(ops.grid, rhs)
-    if j not in (1, 2):
-        raise DomainError(f"implicit direction must be 1 or 2, got {j}")
-    if theta_dt == 0.0:
-        return rhs.copy()
-    cy = ops._solver(j, theta_dt)
-    b = rhs if j == 1 else np.ascontiguousarray(rhs.T)
-    try:
-        x = cy.solve(b)
-    except np.linalg.LinAlgError as exc:
+    sub, diag, sup, n = ops.directional_stencil(j)
+    m_sub, m_diag, m_sup = -theta_dt * sub, 1.0 - theta_dt * diag, -theta_dt * sup
+    phi = (2.0 * math.pi / n) * np.arange(n // 2 + 1)
+    lam = m_diag + (m_sub + m_sup) * np.cos(phi) + 1j * ((m_sup - m_sub) * np.sin(phi))
+    mag = np.abs(lam)
+    if not mag.min() > n * np.finfo(float).eps * mag.max():
         raise SingularSystemError(
-            f"direction {j} system with theta*dt = {theta_dt!r} is singular"
-        ) from exc
-    residual = float(np.max(np.abs(cy.matvec(x) - b)))
-    if residual > _RESIDUAL_RTOL * float(np.max(np.abs(b))) + 1e-300:
-        raise SingularSystemError(
-            f"direction {j} solve failed the residual check "
-            f"(residual {residual:.3e}, theta*dt = {theta_dt!r})"
+            f"direction {j} system with theta*dt = {theta_dt!r} is singular "
+            f"(min |eigenvalue| {mag.min():.3e}, max {mag.max():.3e})"
         )
-    return x if j == 1 else np.ascontiguousarray(x.T)
+    if m_sub == 0.0 and m_sup == 0.0:
+        return rhs / m_diag
+    axis = j - 1
+    xh = np.fft.rfft(rhs, axis=axis)
+    xh /= lam[:, None] if axis == 0 else lam
+    x = np.fft.irfft(xh, n=n, axis=axis)
+    r = m_diag * x
+    r += m_sup * np.roll(x, -1, axis)
+    r += m_sub * np.roll(x, 1, axis)
+    r -= rhs
+    residual = float(np.max(np.abs(r)))
+    norm_m = abs(m_diag) + abs(m_sub) + abs(m_sup)
+    bound = _RESIDUAL_RTOL * (norm_m * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+    if not residual <= bound:
+        raise SingularSystemError(
+            f"direction {j} solve failed the backward-error check "
+            f"(residual {residual:.3e} > {bound:.3e}, theta*dt = {theta_dt!r})"
+        )
+    return x
 
 
 def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -333,8 +255,7 @@ def mode_amplification(
     """
     step = get_step_function(scheme)
     ops = build_split_operators(coeffs, grid)
-    phi1, phi2 = mode.phases(grid)
-    ang = phi1 * np.arange(grid.m1)[:, None] + phi2 * np.arange(grid.m2)[None, :]
+    ang = mode.phase_field(grid)
     uc, us = np.cos(ang), np.sin(ang)
     wc = step(ops, params, uc)
     ws = step(ops, params, us)
@@ -362,9 +283,7 @@ class ManufacturedProblem:
     def initial_field(self) -> np.ndarray:
         u = new_field(self.grid)
         for k1, k2, amp in self.modes:
-            phi1, phi2 = FourierMode(k1, k2).phases(self.grid)
-            ang = phi1 * np.arange(self.grid.m1)[:, None] + phi2 * np.arange(self.grid.m2)[None, :]
-            u += amp * np.cos(ang)
+            u += amp * np.cos(FourierMode(k1, k2).phase_field(self.grid))
         return u
 
     def semi_discrete_reference(self) -> np.ndarray:
@@ -374,9 +293,7 @@ class ManufacturedProblem:
             mode = FourierMode(k1, k2)
             pt = fourier_symbols(self.coeffs, self.grid, 1.0, mode)  # dt=1: raw eigenvalues
             lam = pt.z0 + pt.z1 + pt.z2
-            phi1, phi2 = mode.phases(self.grid)
-            ang = phi1 * np.arange(self.grid.m1)[:, None] + phi2 * np.arange(self.grid.m2)[None, :]
-            u += amp * (np.exp(self.t_final * lam) * np.exp(1j * ang)).real
+            u += amp * (np.exp(self.t_final * lam) * np.exp(1j * mode.phase_field(self.grid))).real
         return u
 
 

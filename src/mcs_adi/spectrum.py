@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stability import DomainError, SpectralPoint, lemma2_gap  # noqa: F401
+from .stability import DomainError, SpectralPoint
 
 #: Relative tolerance of the positive-semidefiniteness validation.
 PSD_RTOL = 1e-12
@@ -122,6 +122,11 @@ class FourierMode:
                 f"mode {(self.k1, self.k2)} does not fit grid {grid.m1}x{grid.m2}"
             )
         return (2.0 * math.pi * self.k1 / grid.m1, 2.0 * math.pi * self.k2 / grid.m2)
+
+    def phase_field(self, grid: GridSpec) -> np.ndarray:
+        """Phase phi1 * i + phi2 * j of the mode at every grid point (i, j)."""
+        phi1, phi2 = self.phases(grid)
+        return phi1 * np.arange(grid.m1)[:, None] + phi2 * np.arange(grid.m2)[None, :]
 
 
 def fourier_symbols(

@@ -13,7 +13,8 @@ from mcs_adi.config import (
     parse_config_text,
 )
 from mcs_adi.solver import SingularSystemError
-from mcs_adi.spectrum import GridSpec
+from mcs_adi.spectrum import GridSpec, fourier_symbol_grid
+from mcs_adi.stability import stability_function
 
 BASE_CONFIG = """\
 # sample convection-diffusion problem
@@ -174,6 +175,26 @@ def test_solve_cli_reports_numerical_breakdown(config_path, capsys, monkeypatch)
     monkeypatch.setattr("mcs_adi.cli.get_step_function", lambda scheme: broken_step)
     assert main(["solve", "--config", config_path]) == 3
     assert "numerical breakdown" in capsys.readouterr().err
+
+
+def test_solve_cli_stiff_psd_problem_matches_closed_form(tmp_path, capsys):
+    # theta*dt = 2.6e5: the stage matrices are well posed (|eigenvalues| >= 1)
+    # but a residual bound relative to ||rhs|| alone reports a breakdown.
+    path = tmp_path / "stiff.cfg"
+    path.write_text(
+        "m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\nc1 = 1\nd11 = 0.05\nd22 = 0.05\n"
+        "theta = 0.26\ndt = 1e6\nsteps = 3\ninitial = random:1\n"
+    )
+    out = tmp_path / "field.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert "numerical breakdown" not in capsys.readouterr().err
+    setup = load_problem(path)
+    u0 = make_initial_field(setup.grid, setup.initial)
+    s = stability_function(0.26, *fourier_symbol_grid(setup.coeffs, setup.grid, 1e6))
+    want = np.fft.ifft2(s**3 * np.fft.fft2(u0)).real
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    got = rows[:, 2].reshape(setup.grid.shape)
+    assert float(np.max(np.abs(got - want))) <= 1e-8
 
 
 # ---------------------------------------------------------------- figure1 CLI

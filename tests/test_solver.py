@@ -131,27 +131,44 @@ def test_solve_directional_roundtrip(j):
     assert float(np.max(np.abs(back - rhs))) <= 1e-12
 
 
-@pytest.mark.parametrize("j", [1, 2])
-def test_solve_directional_matches_dense_solve(j):
-    ops = build_split_operators(COEFFS, GRID)
-    n = GRID.m1 if j == 1 else GRID.m2
+EVEN_GRID = GridSpec(m1=8, m2=16, dx=0.2, dy=0.25, beta=-0.5)
+
+
+@pytest.mark.parametrize(
+    "j, grid, td, tol",
+    [
+        pytest.param(1, GRID, 0.11, 1e-11, id="1"),
+        pytest.param(2, GRID, 0.11, 1e-11, id="2"),
+        # even n has a Nyquist mode; measured error 4.4e-16 in both directions
+        pytest.param(1, EVEN_GRID, 0.11, 1e-11, id="even-1"),
+        pytest.param(2, EVEN_GRID, 0.11, 1e-11, id="even-2"),
+        # stiff theta*dt, cond(M) up to 7.8e6 (cond * eps ~ 1.7e-9);
+        # measured errors 6.2e-11, 7.6e-11 (7x9) and 3.9e-11, 4.6e-11 (8x16)
+        pytest.param(1, GRID, 2.6e5, 1e-9, id="stiff-1"),
+        pytest.param(2, GRID, 2.6e5, 1e-9, id="stiff-2"),
+        pytest.param(1, EVEN_GRID, 2.6e5, 1e-9, id="stiff-even-1"),
+        pytest.param(2, EVEN_GRID, 2.6e5, 1e-9, id="stiff-even-2"),
+    ],
+)
+def test_solve_directional_matches_dense_solve(j, grid, td, tol):
+    ops = build_split_operators(COEFFS, grid)
+    n = grid.m1 if j == 1 else grid.m2
     sub, diag, sup = (
         (ops.x_sub, ops.x_diag, ops.x_sup) if j == 1 else (ops.y_sub, ops.y_diag, ops.y_sup)
     )
-    td = 0.11
     mat = np.zeros((n, n))
     for i in range(n):
         mat[i, i] = 1.0 - td * diag
         mat[i, (i + 1) % n] = -td * sup
         mat[i, (i - 1) % n] = -td * sub
     rng = np.random.Generator(np.random.Philox(key=5))
-    rhs = rng.standard_normal(GRID.shape)
+    rhs = rng.standard_normal(grid.shape)
     got = solve_directional(ops, j, td, rhs)
     if j == 1:
         want = np.linalg.solve(mat, rhs)
     else:
         want = np.linalg.solve(mat, rhs.T).T
-    assert float(np.max(np.abs(got - want))) <= 1e-11
+    assert float(np.max(np.abs(got - want))) <= tol
 
 
 def test_solve_directional_rejects_bad_direction():
@@ -161,19 +178,18 @@ def test_solve_directional_rejects_bad_direction():
 
 
 def test_singular_system_detected():
-    # I - td*A1 with td = -0.25, pure diffusion on a 4-point ring is exactly
-    # singular (null vector alternates +-1).  A right-hand side inside the
-    # range space still solves; one outside must raise.
+    # I - td*A1 for pure diffusion on a 4-point ring has eigenvalues
+    # 1 - 2 td (1 - cos(pi k / 2)): 1, 0.5, 0, 0.5 at td = -0.25 and
+    # 1, 0, -1, 0 at td = -0.5.  A singular stage matrix raises whatever the
+    # right-hand side, including one in its range (ones at -0.25, the
+    # alternating field at -0.5).
     ops = build_split_operators(
         PdeCoefficients(d11=1.0), GridSpec(m1=4, m2=4, dx=1.0, dy=1.0)
     )
-    ok = solve_directional(ops, 1, -0.25, np.ones((4, 4)))
-    assert np.all(np.isfinite(ok))
     alternating = np.tile(np.array([[1.0], [-1.0]]), (2, 4))
-    with pytest.raises(SingularSystemError):
-        solve_directional(ops, 1, -0.25, alternating)
-    with pytest.raises(SingularSystemError):
-        solve_directional(ops, 1, -0.5, alternating)
+    for td, rhs in ((-0.25, np.ones((4, 4))), (-0.25, alternating), (-0.5, alternating)):
+        with pytest.raises(SingularSystemError):
+            solve_directional(ops, 1, td, rhs)
 
 
 # ------------------------------------------------------------------ stepping
