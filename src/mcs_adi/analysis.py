@@ -24,6 +24,13 @@ exact rational arithmetic where the numbers allow it, deterministic grid
 sweeps and Richardson extrapolation elsewhere.  `verify_theorem` bundles
 them into named pass/fail checks for the CLI.
 
+Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
+grids and the theorem-4 witness family -- runs on one path: `_batch_max`
+evaluates a batch of triplets with one `stability_function` call and
+returns the first maximum with its witness, and `_first_max` folds the
+batches in a fixed order with a strict >, so the reported witness depends
+neither on the batch size nor on the thread count.
+
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
 thread count, and every theta owns a disjoint stream.
@@ -137,11 +144,32 @@ def default_theta_grid() -> tuple[float, ...]:
     return tuple(0.25 + k / 400.0 for k in range(101))
 
 
-def _scan_block_max(theta, stream, seed, block, n, complex_z0):
-    z0, z1, z2 = _draw_cone_block(seed, stream, block, n, complex_z0)
+def _blocks(samples: int) -> list[tuple[int, int]]:
+    """(block index, sample count) of each Monte-Carlo block of a sweep."""
+    return [
+        (b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES))
+        for b in range(-(-samples // BLOCK_SAMPLES))
+    ]
+
+
+def _batch_max(theta, z0, z1, z2) -> tuple[float, SpectralPoint]:
+    """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point."""
     v = np.abs(stability_function(theta, z0, z1, z2))
-    i = int(np.argmax(v))
-    return float(v[i]), SpectralPoint(z0[i], z1[i], z2[i])
+    i = np.unravel_index(int(np.argmax(v)), v.shape)
+    return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
+
+
+def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
+    """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
+
+    The fixed order makes the reported witness independent of how the
+    pairs were computed (thread count, batch boundaries).
+    """
+    best, wit = -math.inf, None
+    for val, pt in pairs:
+        if val > best:
+            best, wit = val, pt
+    return best, wit
 
 
 def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
@@ -152,38 +180,26 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
         raise DomainError("theta values must be positive")
     if samples <= 0:
         raise DomainError("samples must be positive")
-    nblocks = -(-samples // BLOCK_SAMPLES)
-    tasks = [(k, b) for k in range(len(thetas)) for b in range(nblocks)]
+    blocks = _blocks(samples)
 
     def run(task):
-        k, b = task
-        n = min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES)
-        stream = _theta_stream(thetas[k], complex_z0)
-        return task, _scan_block_max(thetas[k], stream, seed, b, n, complex_z0)
+        theta, (b, n) = task
+        z0, z1, z2 = _draw_cone_block(seed, _theta_stream(theta, complex_z0), b, n, complex_z0)
+        return _batch_max(theta, z0, z1, z2)
 
+    tasks = [(theta, block) for theta in thetas for block in blocks]
     if threads is not None and threads <= 1:
-        results = dict(map(run, tasks))
+        results = list(map(run, tasks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, tasks))
-
-    # Reduce per theta in block order with a strict > so the reported
-    # maximum and witness do not depend on the thread count.
-    maxima = []
-    witnesses = []
-    for k in range(len(thetas)):
-        best = -math.inf
-        wit = None
-        for b in range(nblocks):
-            val, pt = results[(k, b)]
-            if val > best:
-                best, wit = val, pt
-        maxima.append(best)
-        witnesses.append(wit)
+            results = list(pool.map(run, tasks))
+    nb = len(blocks)
+    per_theta = (_first_max(results[k * nb : (k + 1) * nb]) for k in range(len(thetas)))
+    maxima, witnesses = zip(*per_theta)
     return ScanReport(
         thetas=thetas,
-        max_abs_s=tuple(maxima),
-        witnesses=tuple(witnesses),
+        max_abs_s=maxima,
+        witnesses=witnesses,
         samples_per_theta=samples,
         seed=int(seed),
         complex_z0=complex_z0,
@@ -291,18 +307,10 @@ def thm1_threshold_scan(theta: float, points_per_decade: int = 200) -> GridScanR
     """
     mags = 10.0 ** np.linspace(-3.0, 3.0, 6 * points_per_decade + 1)
     b = np.concatenate([-mags[::-1], mags])
-    best = -1.0
-    wit = None
-    for i in range(0, b.size, 256):
-        z1 = 1j * b[i : i + 256, None]
-        z2 = 1j * b[None, :]
-        v = np.abs(stability_function(theta, 0.0, z1, z2))
-        j = int(np.argmax(v))
-        if float(v.flat[j]) > best:
-            best = float(v.flat[j])
-            row, col = divmod(j, b.size)
-            wit = SpectralPoint(0.0, 1j * b[i + row], 1j * b[col])
-    return GridScanResult(best, wit)
+    return GridScanResult(*_first_max(
+        _batch_max(theta, 0.0, 1j * b[i : i + 256, None], 1j * b[None, :])
+        for i in range(0, b.size, 256)
+    ))
 
 
 def thm2_real_grid_scan(
@@ -318,16 +326,9 @@ def thm2_real_grid_scan(
     z1 = -mags[:, None]
     z2 = -mags[None, :]
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
-    best = -1.0
-    wit = None
-    for t in np.linspace(-1.0, 1.0, t_points):
-        v = np.abs(stability_function(theta, t * y, z1, z2))
-        j = int(np.argmax(v))
-        if float(v.flat[j]) > best:
-            best = float(v.flat[j])
-            row, col = divmod(j, mags.size)
-            wit = SpectralPoint(t * y[row, col], z1[row, 0], z2[0, col])
-    return GridScanResult(best, wit)
+    return GridScanResult(*_first_max(
+        _batch_max(theta, t * y, z1, z2) for t in np.linspace(-1.0, 1.0, t_points)
+    ))
 
 
 def thm2_sharp_point(theta: float) -> SpectralPoint:
@@ -435,19 +436,11 @@ def thm4_witness_search(theta: float, x_grid=None, phi_grid=None) -> Optional[Sp
     if phi_grid is None:
         g = np.geomspace(0.005, 0.6, 12)
         phi_grid = np.concatenate([-g[::-1], g])
-    shrink = 1.0 - 1e-12
-    best = None
-    best_s = 1.0 + 1e-10
-    for x in x_grid:
-        z1 = -x / theta
-        radius = 2.0 * abs(z1)
-        for phi in phi_grid:
-            z0 = shrink * radius * complex(math.cos(phi), math.sin(phi))
-            s = abs(stability_function(theta, z0, z1 + 0.0j, z1 + 0.0j))
-            if s > best_s:
-                best_s = s
-                best = SpectralPoint(z0, z1, z1)
-    if best is None:
+    z1 = (-np.asarray(x_grid, dtype=float) / theta)[:, None] + 0.0j
+    phi = np.asarray(phi_grid, dtype=float)[None, :]
+    z0 = (1.0 - 1e-12) * (2.0 * np.abs(z1.real)) * (np.cos(phi) + 1j * np.sin(phi))
+    val, best = _batch_max(theta, z0, z1, z1)
+    if not val > 1.0 + 1e-10:
         return None
     if not cone_condition(best):
         return None
@@ -463,20 +456,10 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     arithmetic; the observed minimum sits at roundoff scale.
     """
     worst = math.inf
-    done = 0
-    block = 0
-    while done < samples:
-        n = min(BLOCK_SAMPLES, samples - done)
-        g = _block_generator(seed, _LEMMA2_STREAM, block)
-        r = g.random((n, 7))
-        theta = 1.0 - r[:, 0]
+    for b, n in _blocks(samples):
+        r = _block_generator(seed, _LEMMA2_STREAM, b).random((n, 7))
         z1, z2 = _cone_z_pair(r)
-        gap = np.asarray(lemma2_gap(theta, z1, z2))
-        val = float(gap.min())
-        if val < worst:
-            worst = val
-        done += n
-        block += 1
+        worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
     return worst
 
 

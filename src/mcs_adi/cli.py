@@ -16,6 +16,7 @@ and every command is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import (
@@ -131,8 +132,10 @@ def cmd_solve(args) -> int:
 def cmd_figure1(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
-    if args.theta_step <= 0.0:
-        raise ConfigError(f"theta-step must be positive, got {args.theta_step!r}")
+    for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max),
+                        ("theta-step", args.theta_step)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
     if args.theta_max < args.theta_min:
         raise ConfigError("theta-max must be >= theta-min")
     if (args.theta_min, args.theta_max, args.theta_step) == (0.25, 0.5, 0.0025):
@@ -154,6 +157,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {args.samples}")
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0

@@ -181,6 +181,17 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     return x
 
 
+def _douglas_predictor(ops: SplitOperators, params: SchemeParams, u: np.ndarray):
+    """Douglas stages Y0 and Y2 from U, with A1 U and A2 U for later stages."""
+    td = params.theta * params.dt
+    a0u = apply_split_operator(ops, 0, u)
+    a1u = apply_split_operator(ops, 1, u)
+    a2u = apply_split_operator(ops, 2, u)
+    y0 = u + params.dt * (a0u + a1u + a2u)
+    y1 = solve_directional(ops, 1, td, y0 - td * a1u)
+    return y0, solve_directional(ops, 2, td, y1 - td * a2u), a1u, a2u
+
+
 def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Advance a field by one MCS step.
 
@@ -189,12 +200,7 @@ def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float 
     """
     theta, dt = params.theta, params.dt
     td = theta * dt
-    a0u = apply_split_operator(ops, 0, u)
-    a1u = apply_split_operator(ops, 1, u)
-    a2u = apply_split_operator(ops, 2, u)
-    y0 = u + dt * (a0u + a1u + a2u)
-    y1 = solve_directional(ops, 1, td, y0 - td * a1u)
-    y2 = solve_directional(ops, 2, td, y1 - td * a2u)
+    y0, y2, a1u, a2u = _douglas_predictor(ops, params, u)
     dy = y2 - u
     a0dy = apply_split_operator(ops, 0, dy)
     yh0 = y0 + td * a0dy
@@ -207,13 +213,7 @@ def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float 
 
 def step_douglas(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Advance a field by one Douglas step (the MCS predictor alone)."""
-    theta, dt = params.theta, params.dt
-    td = theta * dt
-    a1u = apply_split_operator(ops, 1, u)
-    a2u = apply_split_operator(ops, 2, u)
-    y0 = u + dt * (apply_split_operator(ops, 0, u) + a1u + a2u)
-    y1 = solve_directional(ops, 1, td, y0 - td * a1u)
-    return solve_directional(ops, 2, td, y1 - td * a2u)
+    return _douglas_predictor(ops, params, u)[1]
 
 
 _STEP_FUNCTIONS = {"mcs": step_mcs, "douglas": step_douglas}

@@ -52,6 +52,9 @@ class PdeCoefficients:
     d22: float = 0.0
 
     def __post_init__(self):
+        values = (self.c1, self.c2, self.d11, self.d12, self.d21, self.d22)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"PDE coefficients must be finite, got {values!r}")
         scale = max(abs(self.d11), abs(self.d22), abs(self.d12), abs(self.d21), 1.0)
         lin_tol = PSD_RTOL * scale
         if self.d11 < -lin_tol or self.d22 < -lin_tol:
@@ -90,8 +93,13 @@ class GridSpec:
     def __post_init__(self):
         if self.m1 < 3 or self.m2 < 3:
             raise DomainError(f"need at least 3 points per direction, got {self.m1}x{self.m2}")
-        if not (self.dx > 0.0 and self.dy > 0.0):
-            raise DomainError(f"grid spacings must be positive, got dx={self.dx!r} dy={self.dy!r}")
+        # min(dx, dy)**2 > 0 also keeps dx*dx, dy*dy and dx*dy from underflowing to 0
+        spacings_ok = 0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf
+        if not (spacings_ok and min(self.dx, self.dy) ** 2 > 0.0):
+            raise DomainError(
+                "grid spacings must be positive and finite with nonzero squares, "
+                f"got dx={self.dx!r} dy={self.dy!r}"
+            )
         if not -1.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [-1, 1], got {self.beta!r}")
 

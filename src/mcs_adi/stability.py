@@ -55,10 +55,10 @@ class SchemeParams:
     dt: float
 
     def __post_init__(self):
-        if not self.theta > 0.0:
-            raise DomainError(f"theta must be positive, got {self.theta!r}")
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"theta must be positive and finite, got {self.theta!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
 
 
 @dataclass(frozen=True)

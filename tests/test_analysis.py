@@ -27,6 +27,7 @@ from mcs_adi.stability import (
     SpectralPoint,
     cone_condition,
     eval_stability_function,
+    stability_function,
 )
 
 SMALL = 70_000  # spans two sampling blocks, keeps the module quick
@@ -52,10 +53,14 @@ def test_scan_is_deterministic_and_thread_invariant():
 
 
 def test_scan_witness_reproduces_reported_maximum():
-    report = figure1_scan(seed=0, samples=SMALL, thetas=(0.3,))
-    s = abs(eval_stability_function(0.3, report.witnesses[0]))
-    assert abs(s - report.max_abs_s[0]) <= 1e-12 * report.max_abs_s[0]
-    assert cone_condition(report.witnesses[0], slack=1e-12)
+    for report in (
+        figure1_scan(seed=0, samples=SMALL, thetas=(0.3,)),
+        complex_z0_scan((0.3,), seed=0, samples=SMALL),
+    ):
+        s = abs(eval_stability_function(0.3, report.witnesses[0]))
+        assert abs(s - report.max_abs_s[0]) <= 1e-12 * report.max_abs_s[0]
+        assert cone_condition(report.witnesses[0], slack=1e-12)
+        assert report.witnesses[0].z0.imag != 0.0 or not report.complex_z0
 
 
 def test_scan_input_validation():
@@ -207,6 +212,23 @@ def test_witness_exists_below_threshold_only():
     assert thm4_witness_search(0.45) is None
     with pytest.raises(DomainError):
         thm4_witness_search(0.0)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.40, 0.41, 5.0 / 12.0, 0.45])
+def test_witness_search_matches_point_by_point_loop(theta):
+    # Reference: the family walked one point at a time in x-major order,
+    # keeping the first strictly larger |S| above 1 + 1e-10.
+    g = np.geomspace(0.005, 0.6, 12)
+    best, best_s = None, 1.0 + 1e-10
+    for x in np.linspace(0.2, 5.0, 193):
+        z1 = -x / theta
+        radius = 2.0 * abs(z1)
+        for phi in np.concatenate([-g[::-1], g]):
+            z0 = (1.0 - 1e-12) * radius * complex(math.cos(phi), math.sin(phi))
+            s = abs(stability_function(theta, z0, z1 + 0.0j, z1 + 0.0j))
+            if s > best_s:
+                best, best_s = SpectralPoint(z0, z1, z1), s
+    assert thm4_witness_search(theta) == best
 
 
 def test_lemma2_gap_stays_nonnegative_under_sampling():

@@ -166,6 +166,12 @@ def test_solve_cli_usage_errors(tmp_path, capsys):
     bad.write_text("m1 = 8\n")  # missing most required keys
     assert main(["solve", "--config", str(bad)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+    capsys.readouterr()
+    for key, value in (("dt", "inf"), ("dx", "1e-300"), ("d11", "nan"), ("theta", "nan")):
+        bad.write_text(BASE_CONFIG.replace(f"\n{key} = ", f"\n{key} = {value}  # "))
+        assert main(["solve", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_solve_cli_reports_numerical_breakdown(config_path, capsys, monkeypatch):
@@ -231,6 +237,14 @@ def test_figure1_cli_flag_validation(capsys):
     assert main(["figure1", "--theta-min", "0.4", "--theta-max", "0.3"]) == 2
     assert main(["figure1", "--no-such-flag"]) == 2
     capsys.readouterr()
+    for argv in (
+        ["verify", "--theorem", "5", "--samples", "0"],
+        ["figure1", "--theta-min", "-1", "--theta-max", "0.3"],
+        ["figure1", "--theta-min", "nan"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 # ----------------------------------------------------------------- verify CLI

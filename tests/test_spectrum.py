@@ -29,6 +29,8 @@ def test_coefficients_default_to_zero():
 def test_coefficients_reject_negative_diagonal():
     with pytest.raises(DomainError):
         PdeCoefficients(d11=-0.1, d22=1.0)
+    with pytest.raises(DomainError):
+        PdeCoefficients(d11=math.nan, d22=1.0)
 
 
 def test_coefficients_reject_indefinite_matrix():
@@ -51,6 +53,10 @@ def test_grid_validation():
         GridSpec(m1=2, m2=3, dx=0.1, dy=0.1)
     with pytest.raises(DomainError):
         GridSpec(m1=4, m2=4, dx=0.0, dy=0.1)
+    with pytest.raises(DomainError):
+        GridSpec(m1=4, m2=4, dx=1e-300, dy=0.1)  # dx*dx underflows to 0
+    with pytest.raises(DomainError):
+        GridSpec(m1=4, m2=4, dx=0.1, dy=math.inf)
     with pytest.raises(DomainError):
         GridSpec(m1=4, m2=4, dx=0.1, dy=0.1, beta=1.5)
 

@@ -37,6 +37,10 @@ def test_scheme_params_validation():
         SchemeParams(-0.3, 0.1)
     with pytest.raises(DomainError):
         SchemeParams(0.5, 0.0)
+    with pytest.raises(DomainError):
+        SchemeParams(0.5, float("inf"))
+    with pytest.raises(DomainError):
+        SchemeParams(float("nan"), 0.1)
 
 
 def test_spectral_point_coercion_and_sum():
