@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Monte-Carlo sweep of max |S| over the theta grid; writes a CSV + meta file.
 
-The full run (2e6 samples per theta, 101 thetas) takes about 45 s on two
+The full run (2e6 samples per theta, 101 thetas) takes about 6 s on two
 cores and reproduces the instability profile: maxima well above 1 near
 theta = 1/4, decaying to 1 around theta = 1/3, then flat at (or just below) 1.
 Use --quick for a 10x cheaper pass with the same shape.

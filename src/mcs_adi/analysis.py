@@ -33,7 +33,9 @@ neither on the batch size nor on the thread count.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
-thread count, and every theta owns a disjoint stream.
+thread count.  Each block is drawn once and every theta of the grid is
+evaluated on it (common random numbers): real and complex z0 scans own one
+stream each, and the lemma-2 sweep a third.
 """
 
 from __future__ import annotations
@@ -68,15 +70,10 @@ DEFAULT_SAMPLES = 2_000_000
 #: Sample count of the quick per-theorem checks (seconds, not minutes).
 DEFAULT_VERIFY_SAMPLES = 200_000
 
-#: Stream ids: per-theta streams are round(400*theta), offset for complex z0;
-#: the lemma-2 sweep owns a stream far outside that range.
+#: Stream ids: real-z0 scans draw from stream 0, complex-z0 scans from
+#: _COMPLEX_STREAM_BASE; the lemma-2 sweep owns a third stream.
 _LEMMA2_STREAM = 1 << 32
 _COMPLEX_STREAM_BASE = 1 << 33
-
-
-def _theta_stream(theta: float, complex_z0: bool) -> int:
-    base = _COMPLEX_STREAM_BASE if complex_z0 else 0
-    return base + int(round(400.0 * theta))
 
 
 def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -102,14 +99,14 @@ def _cone_z_pair(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return re1 + 1j * im1, re2 + 1j * im2
 
 
-def _draw_cone_block(seed: int, stream: int, block: int, n: int, complex_z0: bool):
+def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
     """Draw n cone triplets; z0 fills the cone cross-section at each (z1, z2).
 
     Column 0 is the signed radial coordinate of z0 in [-1, 1] times the cone
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
-    uniform phase.
+    uniform phase, and the block comes from the complex-z0 stream.
     """
-    g = _block_generator(seed, stream, block)
+    g = _block_generator(seed, _COMPLEX_STREAM_BASE if complex_z0 else 0, block)
     r = g.random((n, 8 if complex_z0 else 7))
     z1, z2 = _cone_z_pair(r)
     y = 2.0 * np.sqrt(z1.real * z2.real)
@@ -180,22 +177,14 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
         raise DomainError("theta values must be positive")
     if samples <= 0:
         raise DomainError("samples must be positive")
-    blocks = _blocks(samples)
 
-    def run(task):
-        theta, (b, n) = task
-        z0, z1, z2 = _draw_cone_block(seed, _theta_stream(theta, complex_z0), b, n, complex_z0)
-        return _batch_max(theta, z0, z1, z2)
+    def run(block):
+        z0, z1, z2 = _draw_cone_block(seed, *block, complex_z0)
+        return [_batch_max(theta, z0, z1, z2) for theta in thetas]
 
-    tasks = [(theta, block) for theta in thetas for block in blocks]
-    if threads is not None and threads <= 1:
-        results = list(map(run, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    nb = len(blocks)
-    per_theta = (_first_max(results[k * nb : (k + 1) * nb]) for k in range(len(thetas)))
-    maxima, witnesses = zip(*per_theta)
+    with ThreadPoolExecutor(max_workers=None if threads is None else max(threads, 1)) as pool:
+        results = list(pool.map(run, _blocks(samples)))
+    maxima, witnesses = zip(*(_first_max(per_theta) for per_theta in zip(*results)))
     return ScanReport(
         thetas=thetas,
         max_abs_s=maxima,
@@ -241,7 +230,8 @@ _SCAN_CSV_HEADER = (
 def write_scan_csv(path, report: ScanReport) -> None:
     """Write a scan as CSV plus a '<path>.meta' sidecar with the provenance.
 
-    Full float precision (%.17g) so a scan can be reloaded bit-for-bit.
+    Full float precision (%.17g) so a scan can be reloaded bit-for-bit;
+    `sampler = 2` marks the shared draw (every theta sees the same blocks).
     """
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:
@@ -259,6 +249,7 @@ def write_scan_csv(path, report: ScanReport) -> None:
         fh.write(f"seed = {report.seed}\n")
         fh.write(f"samples_per_theta = {report.samples_per_theta}\n")
         fh.write(f"complex_z0 = {'true' if report.complex_z0 else 'false'}\n")
+        fh.write("sampler = 2\n")
         fh.write(f"package_version = {__version__}\n")
 
 

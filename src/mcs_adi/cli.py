@@ -116,7 +116,10 @@ def cmd_solve(args) -> int:
     if args.theta is not None:
         overrides["theta"] = args.theta
     setup = load_problem(_require_config(args), overrides)
-    ops = build_split_operators(setup.coeffs, setup.grid)
+    try:
+        ops = build_split_operators(setup.coeffs, setup.grid)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     step = get_step_function(setup.scheme)
     u = make_initial_field(setup.grid, setup.initial)
     print("step,max_norm")
@@ -159,6 +162,8 @@ def cmd_figure1(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
+    if args.theta is not None and not 0.0 < args.theta < math.inf:
+        raise ConfigError(f"theta must be positive and finite, got {args.theta!r}")
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0

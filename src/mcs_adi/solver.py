@@ -85,6 +85,9 @@ class SplitOperators:
             (0, 1): -2.0 * beta * s,
             (0, -1): -2.0 * beta * s,
         }
+        stencil = (self.x_sub, self.x_diag, self.x_sup, self.y_sub, self.y_diag, self.y_sup)
+        if not all(map(math.isfinite, stencil + tuple(self.mixed_weights.values()))):
+            raise DomainError("stencil coefficients overflow (d/dx^2, c/dx or d12/(dx dy))")
 
     def directional_stencil(self, j: int) -> tuple[float, float, float, int]:
         """(sub, diag, sup, n) of the implicit direction j in {1, 2}."""
@@ -364,8 +367,9 @@ def field_l2(u: np.ndarray) -> float:
 def write_field_csv(path, u: np.ndarray) -> None:
     """Write a field as CSV rows "i,j,u" in row-major order, full precision."""
     u = np.asarray(u)
+    # one str.format call per grid row: {0} is the row index, {j + 1} column j
+    row_fmt = "".join(f"{{0}},{j},{{{j + 1}:.17g}}\n" for j in range(u.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,u\n")
-        for i in range(u.shape[0]):
-            for j in range(u.shape[1]):
-                fh.write(f"{i},{j},{u[i, j]:.17g}\n")
+        for i, row in enumerate(u.tolist()):
+            fh.write(row_fmt.format(i, *row))

@@ -4,7 +4,7 @@ Each test pins one headline guarantee of the package with explicit
 tolerances.  They are numbered so `pytest -v` reads as a checklist; each one
 also prints a summary line (visible with `pytest -s` or on failure).  The
 Monte-Carlo tests use fixed seeds and full production sample counts, so this
-module takes ~40 s; everything is deterministic and thread-count invariant.
+module takes ~10 s; everything is deterministic and thread-count invariant.
 """
 
 import dataclasses

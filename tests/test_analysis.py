@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from mcs_adi import analysis
 from mcs_adi.analysis import (
+    BLOCK_SAMPLES,
     CheckResult,
     ScanReport,
     check_monotone_evidence,
@@ -50,6 +52,44 @@ def test_scan_is_deterministic_and_thread_invariant():
     assert a.witnesses == b.witnesses
     c = figure1_scan(seed=8, samples=SMALL, thetas=thetas, threads=1)
     assert c.max_abs_s != a.max_abs_s
+
+
+def test_scan_theta_result_does_not_depend_on_the_rest_of_the_grid():
+    alone = figure1_scan(seed=5, samples=SMALL, thetas=(0.3,))
+    both = figure1_scan(seed=5, samples=SMALL, thetas=(0.3, 0.45))
+    assert alone.max_abs_s[0] == both.max_abs_s[0]
+    assert alone.witnesses[0] == both.witnesses[0]
+
+
+@pytest.mark.parametrize("complex_z0", [False, True])
+def test_scan_draws_each_block_once(monkeypatch, complex_z0):
+    calls = []
+    draw = analysis._draw_cone_block
+
+    def counting_draw(seed, block, n, cz0):
+        calls.append((block, n, cz0))
+        return draw(seed, block, n, cz0)
+
+    monkeypatch.setattr(analysis, "_draw_cone_block", counting_draw)
+    thetas = (0.3, 0.35, 0.4, 0.45)
+    if complex_z0:
+        complex_z0_scan(thetas, seed=1, samples=SMALL, threads=2)
+    else:
+        figure1_scan(seed=1, samples=SMALL, thetas=thetas, threads=2)
+    assert sorted(calls) == [
+        (0, BLOCK_SAMPLES, complex_z0), (1, SMALL - BLOCK_SAMPLES, complex_z0)
+    ]
+
+
+def test_scan_with_partial_last_block_is_thread_invariant():
+    samples = 2 * BLOCK_SAMPLES + 1234  # three blocks, the last one partial
+    thetas = (0.26, 0.3, 1.0 / 3.0, 0.45)
+    reports = [
+        figure1_scan(seed=11, samples=samples, thetas=thetas, threads=t) for t in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    cplx = [complex_z0_scan(thetas, seed=11, samples=samples, threads=t) for t in (1, 3)]
+    assert cplx[0] == cplx[1]
 
 
 def test_scan_witness_reproduces_reported_maximum():
@@ -106,6 +146,7 @@ def test_write_scan_csv(tmp_path):
     assert "seed = 3" in meta
     assert f"samples_per_theta = {SMALL}" in meta
     assert "complex_z0 = false" in meta
+    assert "sampler = 2" in meta
     assert "package_version" in meta
 
 

@@ -167,7 +167,10 @@ def test_solve_cli_usage_errors(tmp_path, capsys):
     assert main(["solve", "--config", str(bad)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
-    for key, value in (("dt", "inf"), ("dx", "1e-300"), ("d11", "nan"), ("theta", "nan")):
+    for key, value in (
+        ("dt", "inf"), ("dx", "1e-300"), ("d11", "nan"), ("theta", "nan"),
+        ("dx", "1e-160"), ("d11", "1e308"),
+    ):
         bad.write_text(BASE_CONFIG.replace(f"\n{key} = ", f"\n{key} = {value}  # "))
         assert main(["solve", "--config", str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -241,6 +244,9 @@ def test_figure1_cli_flag_validation(capsys):
         ["verify", "--theorem", "5", "--samples", "0"],
         ["figure1", "--theta-min", "-1", "--theta-max", "0.3"],
         ["figure1", "--theta-min", "nan"],
+        ["verify", "--theorem", "3", "--theta", "nan"],
+        ["verify", "--theorem", "3", "--theta", "0"],
+        ["verify", "--theta=-inf"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -322,3 +322,34 @@ def test_write_field_csv_roundtrip(tmp_path):
     i, j, val = lines[3].split(",")
     assert (int(i), int(j)) == (1, 0)
     assert float(val) == -3.25
+
+
+def _write_field_csv_per_element(path, u):
+    # reference: one f-string and one write per grid point
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i,j,u\n")
+        for i in range(u.shape[0]):
+            for j in range(u.shape[1]):
+                fh.write(f"{i},{j},{u[i, j]:.17g}\n")
+
+
+def test_write_field_csv_matches_per_element_writer(tmp_path):
+    u = np.random.default_rng(5).standard_normal((7, 12)) * 10.0 ** np.arange(-6, 6)
+    u[0, :6] = [-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1]
+    u[3, 11] = -2.2250738585072014e-308
+    write_field_csv(tmp_path / "new.csv", u)
+    _write_field_csv_per_element(tmp_path / "old.csv", u)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert "\n0,0,-0\n" in (tmp_path / "new.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "coeffs, grid",
+    [
+        (PdeCoefficients(d11=0.05), GridSpec(m1=8, m2=8, dx=1e-160, dy=0.1)),
+        (PdeCoefficients(d11=1e308), GridSpec(m1=8, m2=8, dx=0.1, dy=0.1)),
+    ],
+)
+def test_split_operators_reject_overflowing_stencil(coeffs, grid):
+    with pytest.raises(DomainError, match="stencil"):
+        build_split_operators(coeffs, grid)
