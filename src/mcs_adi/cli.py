@@ -19,6 +19,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .analysis import (
     DEFAULT_SAMPLES,
     check_monotone_evidence,
@@ -39,6 +41,9 @@ from .solver import (
 )
 from .spectrum import FourierMode, fourier_symbols
 from .stability import DomainError
+
+#: Most theta values one figure1 scan takes (the default grid has 101).
+_MAX_THETAS = 10_000
 
 
 def _u64(text: str) -> int:
@@ -124,9 +129,15 @@ def cmd_solve(args) -> int:
     u = make_initial_field(setup.grid, setup.initial)
     print("step,max_norm")
     print(f"0,{field_max_norm(u):.17g}")
-    for n in range(1, setup.steps + 1):
-        u = step(ops, setup.params, u)
-        print(f"{n},{field_max_norm(u):.17g}")
+    # a blow-up overflows before validate_field or the residual guard reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, setup.steps + 1):
+            try:
+                u = step(ops, setup.params, u)
+            except (SingularSystemError, DomainError) as exc:
+                print(f"numerical breakdown at step {n}: {exc}", file=sys.stderr)
+                return 3
+            print(f"{n},{field_max_norm(u):.17g}")
     if args.out is not None:
         write_field_csv(args.out, u)
     return 0
@@ -144,7 +155,11 @@ def cmd_figure1(args) -> int:
     if (args.theta_min, args.theta_max, args.theta_step) == (0.25, 0.5, 0.0025):
         thetas = default_theta_grid()
     else:
-        count = int(round((args.theta_max - args.theta_min) / args.theta_step)) + 1
+        steps = (args.theta_max - args.theta_min) / args.theta_step
+        # compared as a float first: a subnormal theta-step makes steps = inf
+        count = round(steps) + 1 if steps < _MAX_THETAS else _MAX_THETAS + 1
+        if count > _MAX_THETAS:
+            raise ConfigError(f"theta grid has more than {_MAX_THETAS} points; raise theta-step")
         thetas = tuple(args.theta_min + k * args.theta_step for k in range(count))
     report = figure1_scan(
         seed=args.seed, samples=args.samples, thetas=thetas, threads=args.threads

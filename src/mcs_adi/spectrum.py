@@ -61,12 +61,14 @@ class PdeCoefficients:
             raise DomainError(
                 f"diagonal diffusion must be nonnegative, got d11={self.d11!r} d22={self.d22!r}"
             )
-        # PSD of the symmetric part: d11*d22 >= ((d12+d21)/2)^2
-        det = self.d11 * self.d22 - 0.25 * self.mixed_sum * self.mixed_sum
-        if det < -PSD_RTOL * scale * scale:
+        # PSD of the symmetric part: d11*d22 >= ((d12+d21)/2)^2, on the entries
+        # divided by scale so that neither side overflows
+        mixed = self.d12 / scale + self.d21 / scale
+        det = (self.d11 / scale) * (self.d22 / scale) - 0.25 * mixed * mixed
+        if det < -PSD_RTOL:
             raise DomainError(
                 "diffusion matrix is not positive semidefinite "
-                f"(d11*d22 - ((d12+d21)/2)^2 = {det!r})"
+                f"(d11*d22 - ((d12+d21)/2)^2 = {det!r} * {scale!r}^2)"
             )
 
     @property

@@ -14,7 +14,7 @@ from mcs_adi.config import (
 )
 from mcs_adi.solver import SingularSystemError
 from mcs_adi.spectrum import GridSpec, fourier_symbol_grid
-from mcs_adi.stability import stability_function
+from mcs_adi.stability import DomainError, stability_function
 
 BASE_CONFIG = """\
 # sample convection-diffusion problem
@@ -178,12 +178,30 @@ def test_solve_cli_usage_errors(tmp_path, capsys):
 
 
 def test_solve_cli_reports_numerical_breakdown(config_path, capsys, monkeypatch):
-    def broken_step(*_args, **_kwargs):
-        raise SingularSystemError("implicit sweep lost the pivot")
+    for exc in (SingularSystemError("implicit sweep lost the pivot"),
+                DomainError("field contains non-finite entries")):
+        def broken_step(*_args, **_kwargs):
+            raise exc
 
-    monkeypatch.setattr("mcs_adi.cli.get_step_function", lambda scheme: broken_step)
-    assert main(["solve", "--config", config_path]) == 3
-    assert "numerical breakdown" in capsys.readouterr().err
+        monkeypatch.setattr("mcs_adi.cli.get_step_function", lambda scheme: broken_step)
+        assert main(["solve", "--config", config_path]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"numerical breakdown at step 1: {exc}"]
+
+
+def test_solve_cli_reports_blow_up_with_its_step(tmp_path, capsys, recwarn):
+    # PSD diffusion with theta = 0.1 < 1/4 and a huge dt: the field grows
+    # until it overflows during step 205
+    path = tmp_path / "blowup.cfg"
+    path.write_text(
+        "m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\nd11 = 0.05\nd22 = 0.05\n"
+        "d12 = 0.049\nd21 = 0.049\ntheta = 0.1\ndt = 100\nsteps = 400\ninitial = random:1\n"
+    )
+    assert main(["solve", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical breakdown at step 205: ")
+    assert captured.out.splitlines()[-1].startswith("204,")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_solve_cli_stiff_psd_problem_matches_closed_form(tmp_path, capsys):
@@ -247,6 +265,8 @@ def test_figure1_cli_flag_validation(capsys):
         ["verify", "--theorem", "3", "--theta", "nan"],
         ["verify", "--theorem", "3", "--theta", "0"],
         ["verify", "--theta=-inf"],
+        ["figure1", "--theta-step", "1e-12"],
+        ["figure1", "--theta-step", "5e-324"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

@@ -81,6 +81,30 @@ def test_apply_matches_dense_transcription(which):
         assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
 
 
+def _apply_rolled(ops, j, u):
+    # reference: each stencil as a sum of np.roll copies, in the solver's order
+    if j == 0:
+        out = np.zeros_like(u)
+        for (di, dj), weight in ops.mixed_weights.items():
+            if weight != 0.0:
+                out += weight * np.roll(u, (-di, -dj), axis=(0, 1))
+        return out
+    sub, diag, sup, _ = ops.directional_stencil(j)
+    return sub * np.roll(u, 1, j - 1) + diag * u + sup * np.roll(u, -1, j - 1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (3, 5), (5, 3), (8, 6)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_apply_matches_rolled_stencils_bitwise(shape, beta):
+    grid = GridSpec(m1=shape[0], m2=shape[1], dx=0.2, dy=0.25, beta=beta)
+    ops = build_split_operators(COEFFS, grid)
+    u = np.random.Generator(np.random.Philox(key=13)).standard_normal(shape)
+    for j in (0, 1, 2):
+        assert np.array_equal(apply_split_operator(ops, j, u), _apply_rolled(ops, j, u))
+
+
 def test_apply_rejects_bad_operator_index():
     ops = build_split_operators(COEFFS, GRID)
     with pytest.raises(DomainError):
@@ -169,6 +193,28 @@ def test_solve_directional_matches_dense_solve(j, grid, td, tol):
     else:
         want = np.linalg.solve(mat, rhs.T).T
     assert float(np.max(np.abs(got - want))) <= tol
+
+
+def test_residual_guard_rejects_perturbed_solution(monkeypatch):
+    ops = build_split_operators(COEFFS, GRID)
+    rhs = np.random.Generator(np.random.Philox(key=17)).standard_normal(GRID.shape)
+    for j in (1, 2):  # the unperturbed solves pass the guard
+        x = solve_directional(ops, j, 0.11, rhs)
+        assert float(np.max(np.abs(x - 0.11 * apply_split_operator(ops, j, x) - rhs))) <= 1e-12
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * (1.0 + 1e-6))
+    for j in (1, 2):
+        with pytest.raises(SingularSystemError, match="backward-error"):
+            solve_directional(ops, j, 0.11, rhs)
+
+
+def test_stage_eigenvalue_cache_is_keyed_by_direction_and_theta_dt():
+    ops = build_split_operators(COEFFS, GRID)
+    rhs = np.random.Generator(np.random.Philox(key=19)).standard_normal(GRID.shape)
+    for j, td in ((1, 0.11), (2, 0.11), (1, 0.2), (2, 0.2), (1, 0.11)):
+        fresh = build_split_operators(COEFFS, GRID)
+        assert np.array_equal(solve_directional(ops, j, td, rhs),
+                              solve_directional(fresh, j, td, rhs))
 
 
 def test_solve_directional_rejects_bad_direction():

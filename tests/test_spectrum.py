@@ -37,11 +37,17 @@ def test_coefficients_reject_indefinite_matrix():
     # d11*d22 = 0.01 < ((d12+d21)/2)^2 = 1
     with pytest.raises(DomainError):
         PdeCoefficients(d11=0.1, d22=0.1, d12=1.0, d21=1.0)
+    # huge entries: unscaled, det and its tolerance both overflow to -inf
+    for kwargs in (dict(d12=1e200, d21=1e200), dict(d12=1e308)):
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            PdeCoefficients(**kwargs)
 
 
 def test_coefficients_accept_degenerate_psd():
     c = PdeCoefficients(d11=0.7, d22=0.175, d12=0.35, d21=0.35)
     assert c.mixed_sum == 0.7  # equality case (d12+d21)^2 = 4 d11 d22
+    for big in (1e200, 1e308):  # the same equality case, where d11*d22 overflows
+        PdeCoefficients(d11=big, d22=big, d12=big, d21=big)
 
 
 # --------------------------------------------------------------------- grid
