@@ -29,7 +29,10 @@ grids and the theorem-4 witness family -- runs on one path: `_batch_max`
 evaluates a batch of triplets with one `stability_function` call and
 returns the first maximum with its witness, and `_first_max` folds the
 batches in a fixed order with a strict >, so the reported witness depends
-neither on the batch size nor on the thread count.
+neither on the batch size nor on the thread count.  A batch holds at most
+BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows), so its
+temporaries stay cache-sized, and the batches of a scan run on one thread
+pool, `_pool_map`, which returns them in batch order for the fold.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
@@ -156,6 +159,22 @@ def _batch_max(theta, z0, z1, z2) -> tuple[float, SpectralPoint]:
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
 
 
+def _pool_map(fn, items, threads) -> list:
+    """[fn(x) for x in items] on a thread pool, results in item order.
+
+    `threads` None takes the executor's default worker count; any other
+    value gives max(threads, 1) workers.
+    """
+    with ThreadPoolExecutor(max_workers=None if threads is None else max(threads, 1)) as pool:
+        return list(pool.map(fn, items))
+
+
+def _row_slices(rows: int, cols: int) -> list[slice]:
+    """Row batches of a rows x cols grid, each at most BLOCK_SAMPLES points (>= 1 row)."""
+    step = max(BLOCK_SAMPLES // cols, 1)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
     """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
 
@@ -182,8 +201,7 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
         z0, z1, z2 = _draw_cone_block(seed, *block, complex_z0)
         return [_batch_max(theta, z0, z1, z2) for theta in thetas]
 
-    with ThreadPoolExecutor(max_workers=None if threads is None else max(threads, 1)) as pool:
-        results = list(pool.map(run, _blocks(samples)))
+    results = _pool_map(run, _blocks(samples), threads)
     maxima, witnesses = zip(*(_first_max(per_theta) for per_theta in zip(*results)))
     return ScanReport(
         thetas=thetas,
@@ -290,7 +308,9 @@ class GridScanResult:
     witness: SpectralPoint
 
 
-def thm1_threshold_scan(theta: float, points_per_decade: int = 200) -> GridScanResult:
+def thm1_threshold_scan(
+    theta: float, points_per_decade: int = 200, threads: int | None = None
+) -> GridScanResult:
     """Max |S(0, i b1, i b2)| over a log grid of pure-imaginary eigenvalues.
 
     Magnitudes cover [1e-3, 1e3] with both signs; z0 = 0.  The maximum stays
@@ -298,14 +318,16 @@ def thm1_threshold_scan(theta: float, points_per_decade: int = 200) -> GridScanR
     """
     mags = 10.0 ** np.linspace(-3.0, 3.0, 6 * points_per_decade + 1)
     b = np.concatenate([-mags[::-1], mags])
-    return GridScanResult(*_first_max(
-        _batch_max(theta, 0.0, 1j * b[i : i + 256, None], 1j * b[None, :])
-        for i in range(0, b.size, 256)
-    ))
+    z2 = 1j * b[None, :]
+
+    def run(rows):
+        return _batch_max(theta, 0.0, 1j * b[rows, None], z2)
+
+    return GridScanResult(*_first_max(_pool_map(run, _row_slices(b.size, b.size), threads)))
 
 
 def thm2_real_grid_scan(
-    theta: float, points_per_decade: int = 40, t_points: int = 41
+    theta: float, points_per_decade: int = 40, t_points: int = 41, threads: int | None = None
 ) -> GridScanResult:
     """Max |S| over all-real cone triplets on a log-magnitude grid.
 
@@ -317,9 +339,14 @@ def thm2_real_grid_scan(
     z1 = -mags[:, None]
     z2 = -mags[None, :]
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
-    return GridScanResult(*_first_max(
-        _batch_max(theta, t * y, z1, z2) for t in np.linspace(-1.0, 1.0, t_points)
-    ))
+
+    def run(batch):
+        t, rows = batch
+        return _batch_max(theta, t * y[rows], z1[rows], z2)
+
+    batches = [(t, rows) for t in np.linspace(-1.0, 1.0, t_points)
+               for rows in _row_slices(mags.size, mags.size)]
+    return GridScanResult(*_first_max(_pool_map(run, batches, threads)))
 
 
 def thm2_sharp_point(theta: float) -> SpectralPoint:
@@ -500,14 +527,14 @@ def _verify_thm1(seed, samples, threads) -> list[CheckResult]:
         )
     )
     for theta, tag in ((0.25, "1_4"), (0.5, "1_2"), (1.0, "1")):
-        r = thm1_threshold_scan(theta)
+        r = thm1_threshold_scan(theta, threads=threads)
         checks.append(
             CheckResult(
                 f"imaginary_axis_max_at_{tag}", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,
                 f"max |S| over pure-imaginary grid at theta = {theta:.6g}",
             )
         )
-    r = thm1_threshold_scan(0.24)
+    r = thm1_threshold_scan(0.24, threads=threads)
     checks.append(
         CheckResult(
             "imaginary_axis_excess_at_0_24", r.max_abs_s, r.max_abs_s >= 1.0 + 1e-4,
@@ -528,21 +555,21 @@ def _verify_thm2(seed, samples, threads) -> list[CheckResult]:
             "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3",
         )
     )
-    r = thm2_real_grid_scan(theta)
+    r = thm2_real_grid_scan(theta, threads=threads)
     checks.append(
         CheckResult(
             "real_grid_max_at_1_3", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,
             "max |S| over the all-real cone grid at theta = 1/3",
         )
     )
-    r = thm2_real_grid_scan(0.32)
+    r = thm2_real_grid_scan(0.32, threads=threads)
     checks.append(
         CheckResult(
             "real_grid_excess_at_0_32", r.max_abs_s, r.max_abs_s >= 1.15,
             "max |S| over the all-real cone grid well above 1 at theta = 0.32",
         )
     )
-    r = thm2_real_grid_scan(0.5)
+    r = thm2_real_grid_scan(0.5, threads=threads)
     checks.append(
         CheckResult(
             "real_grid_max_at_1_2", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,

@@ -156,8 +156,10 @@ def cmd_figure1(args) -> int:
         thetas = default_theta_grid()
     else:
         steps = (args.theta_max - args.theta_min) / args.theta_step
-        # compared as a float first: a subnormal theta-step makes steps = inf
-        count = round(steps) + 1 if steps < _MAX_THETAS else _MAX_THETAS + 1
+        # compared as a float first: a subnormal theta-step makes steps = inf;
+        # floored, with slack for roundoff in steps, so the last theta does not
+        # pass theta-max by more than roundoff
+        count = math.floor(steps + 1e-9) + 1 if steps < _MAX_THETAS else _MAX_THETAS + 1
         if count > _MAX_THETAS:
             raise ConfigError(f"theta grid has more than {_MAX_THETAS} points; raise theta-step")
         thetas = tuple(args.theta_min + k * args.theta_step for k in range(count))

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -206,6 +207,56 @@ def test_real_cone_scan_blows_up_below_third():
     assert cone_condition(r.witness)
     s = abs(eval_stability_function(0.32, r.witness))
     assert abs(s - r.max_abs_s) <= 1e-12 * r.max_abs_s
+
+
+def _serial_first_max(batches):
+    # Reference fold: each batch's first maximum in row-major order, kept
+    # only when strictly larger than every earlier batch's.
+    best, wit = -math.inf, None
+    for theta, z0, z1, z2 in batches:
+        v = np.abs(stability_function(theta, z0, z1, z2))
+        i = np.unravel_index(int(np.argmax(v)), v.shape)
+        if v[i] > best:
+            best = float(v[i])
+            wit = SpectralPoint(*(np.broadcast_to(z, v.shape)[i] for z in (z0, z1, z2)))
+    return best, wit
+
+
+def test_grid_scans_do_not_depend_on_threads_or_batching(monkeypatch):
+    # References: thm1 folded serially over 256-row batches, thm2 over one
+    # batch per t.  At theta = 1 every thm1 batch attains the maximum 1, so
+    # a fold that keeps the last maximum or folds in completion order fails;
+    # the first thm1 batch is held back so that it also completes last.
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
+    b = np.concatenate([-mags[::-1], mags])
+    batch_max = analysis._batch_max
+    sizes = set()
+
+    def first_batch_late(theta, z0, z1, z2):
+        sizes.add(np.broadcast(z0, z1, z2).size)
+        if z1.flat[0] == 1j * b[0]:
+            time.sleep(0.02)
+        return batch_max(theta, z0, z1, z2)
+
+    monkeypatch.setattr(analysis, "_batch_max", first_batch_late)
+    for theta in (0.24, 0.25, 0.5, 1.0):
+        want = _serial_first_max(
+            (theta, 0.0, 1j * b[i : i + 256, None], 1j * b[None, :])
+            for i in range(0, b.size, 256)
+        )
+        for threads in (1, 2, 3):
+            r = thm1_threshold_scan(theta, threads=threads)
+            assert (r.max_abs_s, r.witness) == want
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
+    y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
+    for theta in (0.32, 1.0 / 3.0, 0.5):
+        want = _serial_first_max(
+            (theta, t * y, -mags[:, None], -mags[None, :]) for t in np.linspace(-1.0, 1.0, 41)
+        )
+        for threads in (1, 2, 3):
+            r = thm2_real_grid_scan(theta, threads=threads)
+            assert (r.max_abs_s, r.witness) == want
+    assert max(sizes) <= BLOCK_SAMPLES
 
 
 def test_sharp_real_triplet_sits_on_unit_circle():

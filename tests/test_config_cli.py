@@ -252,6 +252,22 @@ def test_figure1_cli_default_grid_snaps_to_101_points(capsys):
     assert float(lines[-1].split(",")[0]) == 0.5
 
 
+@pytest.mark.filterwarnings("ignore:scan maxima cross 1")  # 10 samples is pure noise
+def test_figure1_cli_custom_grid_stops_at_theta_max(capsys):
+    # (0.5 - 0.25) / step = 9998.99...: rounding the count up would add a
+    # last row at 0.50000009749000007
+    assert main(["figure1", "--theta-step", "0.00002500251", "--samples", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 9999
+    assert float(lines[-1].split(",")[0]) <= 0.5
+    for lo, hi in (("0.25", "0.3"), ("0.3", "0.35")):
+        argv = ["figure1", "--samples", "10", "--theta-min", lo, "--theta-max", hi]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 21
+        assert float(lines[-1].split(",")[0]) == pytest.approx(float(hi), abs=1e-15)
+
+
 def test_figure1_cli_flag_validation(capsys):
     assert main(["figure1", "--samples", "0"]) == 2
     assert main(["figure1", "--theta-step", "-0.01"]) == 2
@@ -299,6 +315,18 @@ def test_verify_cli_writes_csv(tmp_path, capsys):
     assert lines[0] == "theorem,check,passed,measured"
     assert len(lines) == 7
     assert all(line.split(",")[2] == "1" for line in lines[1:])
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_verify_cli_output_does_not_depend_on_threads(theorem, tmp_path, capsys):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"checks_{threads}.csv"
+        argv = ["verify", "--theorem", theorem, "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "checks passed" in outputs[0][0]
 
 
 def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
