@@ -30,9 +30,10 @@ evaluates a batch of triplets with one `stability_function` call and
 returns the first maximum with its witness, and `_first_max` folds the
 batches in a fixed order with a strict >, so the reported witness depends
 neither on the batch size nor on the thread count.  A batch holds at most
-BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows), so its
-temporaries stay cache-sized, and the batches of a scan run on one thread
-pool, `_pool_map`, which returns them in batch order for the fold.
+BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows), is
+evaluated into its worker thread's reused workspace of four such arrays
+(released after each Monte-Carlo block), and the batches of a scan run on one
+thread pool, `_pool_map`, which returns them in batch order for the fold.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
@@ -44,6 +45,7 @@ stream each, and the lemma-2 sweep a third.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -152,9 +154,18 @@ def _blocks(samples: int) -> list[tuple[int, int]]:
     ]
 
 
+#: `work`: this thread's four scratch arrays for `_batch_max`; |S| goes in the last.
+_scratch = threading.local()
+
+
 def _batch_max(theta, z0, z1, z2) -> tuple[float, SpectralPoint]:
     """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point."""
-    v = np.abs(stability_function(theta, z0, z1, z2))
+    n = np.broadcast(z0, z1, z2).size
+    work = getattr(_scratch, "work", None)
+    if work is None or work[0].size < n:
+        work = _scratch.work = [np.empty(max(n, BLOCK_SAMPLES), complex) for _ in range(4)]
+    s = stability_function(theta, z0, z1, z2, work=work)
+    v = np.abs(s, out=work[3].view(float)[:n].reshape(s.shape))
     i = np.unravel_index(int(np.argmax(v)), v.shape)
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
 
@@ -199,7 +210,9 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
 
     def run(block):
         z0, z1, z2 = _draw_cone_block(seed, *block, complex_z0)
-        return [_batch_max(theta, z0, z1, z2) for theta in thetas]
+        maxima = [_batch_max(theta, z0, z1, z2) for theta in thetas]
+        vars(_scratch).pop("work", None)  # not held while the next block is drawn
+        return maxima
 
     results = _pool_map(run, _blocks(samples), threads)
     maxima, witnesses = zip(*(_first_max(per_theta) for per_theta in zip(*results)))

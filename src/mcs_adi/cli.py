@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(write, path, *data) -> None:
+    """write(path, *data); an unwritable path is a usage error (exit 2)."""
+    try:
+        write(path, *data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _require_config(args) -> str:
     if args.config is None:
         raise ConfigError(f"{args.command} requires --config PATH")
@@ -139,7 +148,7 @@ def cmd_solve(args) -> int:
                 return 3
             print(f"{n},{field_max_norm(u):.17g}")
     if args.out is not None:
-        write_field_csv(args.out, u)
+        _write_out(write_field_csv, args.out, u)
     return 0
 
 
@@ -168,7 +177,7 @@ def cmd_figure1(args) -> int:
     )
     check_monotone_evidence(report)
     if args.out is not None:
-        write_scan_csv(args.out, report)
+        _write_out(write_scan_csv, args.out, report)
     else:
         print("theta,max_abs_s")
         for theta, mx in zip(report.thetas, report.max_abs_s):
@@ -195,10 +204,9 @@ def cmd_verify(args) -> int:
             print(f"thm{n}  {status}  {res.name:<40} measured={res.measured:.17g}  {res.detail}")
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("theorem,check,passed,measured\n")
-            for n, res in rows:
-                fh.write(f"{n},{res.name},{int(res.passed)},{res.measured:.17g}\n")
+        csv = "theorem,check,passed,measured\n" + "".join(
+            f"{n},{res.name},{int(res.passed)},{res.measured:.17g}\n" for n, res in rows)
+        _write_out(Path.write_text, Path(args.out), csv, "utf-8")
     return 1 if failed else 0
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -257,6 +258,35 @@ def test_grid_scans_do_not_depend_on_threads_or_batching(monkeypatch):
             r = thm2_real_grid_scan(theta, threads=threads)
             assert (r.max_abs_s, r.witness) == want
     assert max(sizes) <= BLOCK_SAMPLES
+
+
+def _full_batches():
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
+    b = np.concatenate([-mags[::-1], mags])
+    rows = slice(0, BLOCK_SAMPLES // b.size)
+    mags2 = 10.0 ** np.linspace(-3.0, 3.0, 241)
+    y = 2.0 * np.sqrt(mags2[:, None] * mags2[None, :])
+    return {
+        "complex_block": analysis._draw_cone_block(2, 0, BLOCK_SAMPLES, True),
+        "thm1_band": (0.0, 1j * b[rows, None], 1j * b[None, :]),
+        "thm2_band": (-0.5 * y, -mags2[:, None], -mags2[None, :]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["complex_block", "thm1_band", "thm2_band"])
+def test_batch_max_allocates_no_temporaries_once_warm(kind):
+    # each batch used to allocate about 6 MiB of fresh temporaries; with the
+    # per-thread workspace only the witness and a few index arrays are new
+    batch = _full_batches()[kind]
+    analysis._batch_max(0.3, *batch)  # warm-up: allocates this thread's workspace
+    tracemalloc.start()
+    try:
+        val, wit = analysis._batch_max(0.3, *batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(eval_stability_function(0.3, wit)) == pytest.approx(val, rel=1e-12)
 
 
 def test_sharp_real_triplet_sits_on_unit_circle():

@@ -337,6 +337,24 @@ def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out and "0/1 checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--config", None], ["figure1", "--samples", "10"], ["verify", "--theorem", "3"]],
+    ids=["solve", "figure1", "verify"],
+)
+def test_unwritable_out_is_a_usage_error(argv, config_path, tmp_path):
+    argv = [config_path if a is None else a for a in argv]
+    out = tmp_path / "no_such_dir" / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcs_adi", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------- amplification CLI
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from mcs_adi.analysis import BLOCK_SAMPLES, _draw_cone_block, _row_slices
 from mcs_adi.stability import (
     DomainError,
     PoleError,
@@ -106,6 +107,66 @@ def test_stability_function_broadcasts():
         # scalar and SIMD complex paths may differ in the last ulp
         one = stability_function(theta, z0[i], z1[i], z2[i])
         assert abs(vec[i] - one) <= 1e-13 * max(1.0, abs(one))
+
+
+def _reference_stability_function(theta, z0, z1, z2):
+    # the out-of-place expression the scratch-buffer evaluation must match
+    z = z1 + z2
+    p = (1.0 - theta * z1) * (1.0 - theta * z2)
+    zz = z0 + z
+    return 1.0 + zz / p + (theta * z0 * zz + (0.5 - theta) * zz * zz) / (p * p)
+
+
+def _scan_batches():
+    """(name, z0, z1, z2) of every kind of batch the scans evaluate."""
+    cplx = _draw_cone_block(3, 0, BLOCK_SAMPLES, True)
+    real = _draw_cone_block(3, 1, BLOCK_SAMPLES, False)
+    yield "complex_z0_block", *cplx
+    yield "real_z0_block", *real
+    yield "real_z0_block_float_z0", real[0].real.copy(), *real[1:]
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
+    b = np.concatenate([-mags[::-1], mags])
+    bands = _row_slices(b.size, b.size)
+    assert len(range(b.size)[bands[-1]]) == 26  # the partial last band
+    for rows in (bands[0], bands[-1]):
+        yield f"thm1_band_{rows.start}", 0.0, 1j * b[rows, None], 1j * b[None, :]
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
+    y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
+    yield "thm2_band", -0.7 * y, -mags[:, None], -mags[None, :]
+    x = np.linspace(0.2, 5.0, 193)[:, None]
+    phi = np.linspace(-0.6, 0.6, 24)[None, :]
+    z1 = -x / 0.4 + 0.0j
+    yield "thm4_grid", 2.0 * np.abs(z1.real) * (np.cos(phi) + 1j * np.sin(phi)), z1, z1
+    # numpy scalars: Python complex scalars would send the reference through
+    # CPython's complex division, which rounds differently from numpy's
+    yield "scalar", np.complex128(-0.3 + 0.2j), np.complex128(-1.5 + 0.7j), np.complex128(-0.2 - 2.0j)
+
+
+@pytest.mark.parametrize("theta", [0.24, 0.25, 1.0 / 3.0, 0.4, 5.0 / 12.0, 0.5, 1.0])
+def test_scratch_evaluation_is_bit_identical_to_the_expression(theta):
+    work = [np.empty(BLOCK_SAMPLES, complex) for _ in range(4)]
+    for name, z0, z1, z2 in _scan_batches():
+        want = _reference_stability_function(theta, z0, z1, z2)
+        got = stability_function(theta, z0, z1, z2)
+        reused = stability_function(theta, z0, z1, z2, work=work)
+        assert np.asarray(want).dtype == np.asarray(got).dtype == np.asarray(reused).dtype, name
+        assert np.array_equal(want, got) and np.array_equal(want, reused), name
+        if name == "thm2_band":
+            assert reused.dtype == np.float64
+        elif name != "scalar":
+            assert np.shares_memory(reused, work[0])
+
+
+def test_one_workspace_survives_a_dtype_switch():
+    work = [np.empty(BLOCK_SAMPLES, complex) for _ in range(4)]
+    batches = {name: zs for name, *zs in _scan_batches()}
+    results = []
+    for name in ("thm1_band_0", "thm2_band", "thm1_band_0", "thm2_band"):
+        got = stability_function(0.3, *batches[name], work=work).copy()
+        assert np.array_equal(got, _reference_stability_function(0.3, *batches[name]))
+        results.append(got)
+    assert results[0].dtype == complex and results[1].dtype == np.float64
+    assert np.array_equal(results[0], results[2]) and np.array_equal(results[1], results[3])
 
 
 def test_eval_raises_at_pole():
