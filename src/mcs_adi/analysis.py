@@ -30,21 +30,24 @@ evaluates a batch of triplets with one `stability_function` call and
 returns the first maximum with its witness, and `_first_max` folds the
 batches in a fixed order with a strict >, so the reported witness depends
 neither on the batch size nor on the thread count.  A batch holds at most
-BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows), is
+BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows) and is
 evaluated into its worker thread's reused workspace of four such arrays
-(released after each Monte-Carlo block), and the batches of a scan run on one
-thread pool, `_pool_map`, which returns them in batch order for the fold.
+(dropped when the thread draws or releases a block); the tasks of a scan --
+grid bands, or (Monte-Carlo block, theta) pairs -- run on one thread pool.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
-thread count.  Each block is drawn once and every theta of the grid is
-evaluated on it (common random numbers): real and complex z0 scans own one
-stream each, and the lemma-2 sweep a third.
+thread count.  Each block is drawn once, with its theta-free sum z0 + (z1 +
+z2), by its first task, and released by its last, so W workers hold at most
+W + 1 blocks; every theta of the grid is evaluated on it (common random
+numbers).  Real and complex z0 scans own one stream each, the lemma-2 sweep
+a third.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -158,13 +161,13 @@ def _blocks(samples: int) -> list[tuple[int, int]]:
 _scratch = threading.local()
 
 
-def _batch_max(theta, z0, z1, z2) -> tuple[float, SpectralPoint]:
+def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point."""
     n = np.broadcast(z0, z1, z2).size
     work = getattr(_scratch, "work", None)
     if work is None or work[0].size < n:
         work = _scratch.work = [np.empty(max(n, BLOCK_SAMPLES), complex) for _ in range(4)]
-    s = stability_function(theta, z0, z1, z2, work=work)
+    s = stability_function(theta, z0, z1, z2, work=work, zz=zz)
     v = np.abs(s, out=work[3].view(float)[:n].reshape(s.shape))
     i = np.unravel_index(int(np.argmax(v)), v.shape)
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
@@ -173,10 +176,13 @@ def _batch_max(theta, z0, z1, z2) -> tuple[float, SpectralPoint]:
 def _pool_map(fn, items, threads) -> list:
     """[fn(x) for x in items] on a thread pool, results in item order.
 
-    `threads` None takes the executor's default worker count; any other
-    value gives max(threads, 1) workers.
+    `threads` None gives one worker per CPU this process may run on; any
+    other value gives max(threads, 1) workers.
     """
-    with ThreadPoolExecutor(max_workers=None if threads is None else max(threads, 1)) as pool:
+    if threads is None:
+        affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+        threads = len(affinity(0)) if affinity else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=max(threads or 1, 1)) as pool:
         return list(pool.map(fn, items))
 
 
@@ -189,12 +195,13 @@ def _row_slices(rows: int, cols: int) -> list[slice]:
 def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
     """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
 
-    The fixed order makes the reported witness independent of how the
-    pairs were computed (thread count, batch boundaries).
+    The fixed order makes the reported witness independent of how the pairs
+    were computed (thread count, batch boundaries).  A NaN (an overflowed
+    |S|) beats every number, as in np.max.
     """
     best, wit = -math.inf, None
     for val, pt in pairs:
-        if val > best:
+        if val > best or (val != val and best == best):
             best, wit = val, pt
     return best, wit
 
@@ -208,14 +215,31 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
     if samples <= 0:
         raise DomainError("samples must be positive")
 
-    def run(block):
-        z0, z1, z2 = _draw_cone_block(seed, *block, complex_z0)
-        maxima = [_batch_max(theta, z0, z1, z2) for theta in thetas]
-        vars(_scratch).pop("work", None)  # not held while the next block is drawn
-        return maxima
+    blocks = _blocks(samples)
+    locks = [threading.Lock() for _ in blocks]
+    live = {}  # block index -> [(z0, z1, z2, zz), tasks not yet finished]
 
-    results = _pool_map(run, _blocks(samples), threads)
-    maxima, witnesses = zip(*(_first_max(per_theta) for per_theta in zip(*results)))
+    def run(task):
+        b, theta = task[0], thetas[task[1]]
+        with locks[b]:  # the block's first task draws it, the others wait
+            if b not in live:
+                vars(_scratch).pop("work", None)  # not held while a block is drawn
+                z0, z1, z2 = _draw_cone_block(seed, *blocks[b], complex_z0)
+                live[b] = [(z0, z1, z2, z0 + (z1 + z2)), len(thetas)]
+            arrays = live[b][0]
+        result = _batch_max(theta, *arrays)
+        with locks[b]:  # the block's last task releases it
+            live[b][1] -= 1
+            if not live[b][1]:
+                del live[b]
+                vars(_scratch).pop("work", None)  # so the next workspace reuses its memory
+        return result
+
+    bs, ks = range(len(blocks)), range(len(thetas))
+    # block b + 1's first task, its draw, runs ahead of block b's other tasks
+    tasks = sorted(((b, k) for b in bs for k in ks), key=lambda t: (t[0] + (t[1] > 0), t[1]))
+    results = dict(zip(tasks, _pool_map(run, tasks, threads)))
+    maxima, witnesses = zip(*(_first_max(results[b, k] for b in bs) for k in ks))
     return ScanReport(
         thetas=thetas,
         max_abs_s=maxima,

@@ -175,6 +175,10 @@ def cmd_figure1(args) -> int:
     report = figure1_scan(
         seed=args.seed, samples=args.samples, thetas=thetas, threads=args.threads
     )
+    broken = [t for t, mx in zip(report.thetas, report.max_abs_s) if not math.isfinite(mx)]
+    if broken:
+        print(f"numerical breakdown: |S| not finite at theta = {broken[0]:.17g}", file=sys.stderr)
+        return 3
     check_monotone_evidence(report)
     if args.out is not None:
         _write_out(write_scan_csv, args.out, report)

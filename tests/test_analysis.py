@@ -1,7 +1,12 @@
 import math
+import os
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,6 +70,9 @@ def test_scan_theta_result_does_not_depend_on_the_rest_of_the_grid():
 
 @pytest.mark.parametrize("complex_z0", [False, True])
 def test_scan_draws_each_block_once(monkeypatch, complex_z0):
+    # one task per (block, theta): whichever task needs a block first draws
+    # it, and the 41 others of that block reuse the same arrays
+    samples = 2 * BLOCK_SAMPLES + 1234  # three blocks, the last one partial
     calls = []
     draw = analysis._draw_cone_block
 
@@ -73,14 +81,126 @@ def test_scan_draws_each_block_once(monkeypatch, complex_z0):
         return draw(seed, block, n, cz0)
 
     monkeypatch.setattr(analysis, "_draw_cone_block", counting_draw)
-    thetas = (0.3, 0.35, 0.4, 0.45)
-    if complex_z0:
-        complex_z0_scan(thetas, seed=1, samples=SMALL, threads=2)
-    else:
-        figure1_scan(seed=1, samples=SMALL, thetas=thetas, threads=2)
-    assert sorted(calls) == [
-        (0, BLOCK_SAMPLES, complex_z0), (1, SMALL - BLOCK_SAMPLES, complex_z0)
-    ]
+    thetas = tuple(0.25 + k / 160.0 for k in range(42))
+    for threads in (1, 2, 3):
+        calls.clear()
+        if complex_z0:
+            complex_z0_scan(thetas, seed=1, samples=samples, threads=threads)
+        else:
+            figure1_scan(seed=1, samples=samples, thetas=thetas, threads=threads)
+        assert sorted(calls) == [
+            (0, BLOCK_SAMPLES, complex_z0),
+            (1, BLOCK_SAMPLES, complex_z0),
+            (2, 1234, complex_z0),
+        ]
+
+
+def test_scan_fold_does_not_depend_on_task_completion_order(monkeypatch):
+    # Blocks 1 and 2 are the complex conjugate of block 0, so every block
+    # ties on max |S|, and block 0 has a witness of its own; the first
+    # (block, theta) task is held back so that it completes last.  A fold in
+    # completion order, or one that keeps the last maximum, reports the
+    # conjugate witness.
+    block0 = analysis._draw_cone_block(9, 0, BLOCK_SAMPLES, False)
+    conj = tuple(np.conj(z) for z in block0)
+    blocks = [block0, conj, conj]
+    batch_max = analysis._batch_max
+    first = []
+
+    def first_task_late(theta, z0, *rest):
+        if not first:
+            first.append(theta)
+            time.sleep(0.02)
+        return batch_max(theta, z0, *rest)
+
+    monkeypatch.setattr(analysis, "_draw_cone_block", lambda seed, b, n, cz0: blocks[b])
+    monkeypatch.setattr(analysis, "_batch_max", first_task_late)
+    thetas = (0.26, 0.3, 1.0 / 3.0, 0.45)
+    want = [_serial_first_max((theta, *z) for z in blocks) for theta in thetas]
+    for theta, (mx, wit) in zip(thetas, want):
+        tie = _serial_first_max([(theta, *blocks[1])])
+        assert tie[0] == mx and tie[1] != wit
+    for threads in (1, 2, 3):
+        first.clear()
+        r = figure1_scan(seed=9, samples=3 * BLOCK_SAMPLES, thetas=thetas, threads=threads)
+        assert first == [thetas[0]]
+        assert list(zip(r.max_abs_s, r.witnesses)) == want
+
+
+def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
+    # z0 + (z1 + z2) is computed once per block, bit for bit as
+    # stability_function would compute it itself
+    seen = []
+
+    def checked(theta, z0, z1, z2, work=None, zz=None):
+        seen.append(theta)
+        assert zz is not None and np.array_equal(zz, z0 + (z1 + z2))
+        return stability_function(theta, z0, z1, z2, work=work, zz=zz)
+
+    monkeypatch.setattr(analysis, "stability_function", checked)
+    figure1_scan(seed=4, samples=SMALL, thetas=(0.3, 0.45), threads=2)
+    complex_z0_scan((0.3, 0.45), seed=4, samples=SMALL, threads=2)
+    assert len(seen) == 8
+
+
+def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
+    # Small blocks make many of them; a block counts as alive from its draw
+    # until its arrays are freed after the last of its tasks.  Eight workers
+    # on a short switch interval stress the shared draw/release bookkeeping:
+    # a lost update draws a block twice or never releases it.
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
+    draw = analysis._draw_cone_block
+    lock = threading.Lock()
+    alive, peak, drawn = [0], [0], []
+
+    def released():
+        with lock:
+            alive[0] -= 1
+
+    def tracked_draw(seed, block, n, cz0):
+        z = draw(seed, block, n, cz0)
+        with lock:
+            drawn.append(block)
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+        weakref.finalize(z[0], released)
+        return z
+
+    thetas = tuple(0.25 + k / 80.0 for k in range(21))
+    want = figure1_scan(seed=3, samples=24 * 1024 - 5, thetas=thetas, threads=1)
+    monkeypatch.setattr(analysis, "_draw_cone_block", tracked_draw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 3, 8):
+            peak[0] = 0
+            drawn.clear()
+            got = figure1_scan(seed=3, samples=24 * 1024 - 5, thetas=thetas, threads=threads)
+            assert got == want
+            assert sorted(drawn) == list(range(24))
+            assert alive[0] == 0
+            assert 1 <= peak[0] <= threads + 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
+    workers = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert analysis._pool_map(abs, [-1, 2], None) == [1, 2]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    analysis._pool_map(abs, [-1], None)
+    analysis._pool_map(abs, [-1], 0)
+    analysis._pool_map(abs, [-1], 3)
+    assert workers == [3, 8, 1, 3]
 
 
 def test_scan_with_partial_last_block_is_thread_invariant():

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from mcs_adi.analysis import CheckResult
 from mcs_adi.cli import main
@@ -289,6 +297,18 @@ def test_figure1_cli_flag_validation(capsys):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_figure1_cli_reports_overflowing_theta_as_numerical_breakdown(tmp_path, capsys):
+    # theta^2 |z1 z2| overflows for theta near 1e160: every |S| is NaN, which
+    # used to fold to max -inf with no witness and crash the CSV writer
+    out = tmp_path / "scan.csv"
+    argv = ["figure1", "--samples", "100", "--theta-min", "1e200", "--theta-max", "1e200"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical breakdown: |S| not finite at theta = 9.9999999999999997e+199"]
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- verify CLI
 
 
@@ -400,3 +420,96 @@ def test_module_entry_point(config_path):
     )
     assert proc.returncode == 0
     assert "6/6 checks passed" in proc.stdout
+
+
+# ------------------------------------------------------------ CLI robustness
+
+_EDGE_FLOATS = [0.0, -0.0, -1.0, 1e-300, 5e-324, 1e200, 1e308, math.inf, -math.inf, math.nan]
+_cli_floats = hst.one_of(hst.sampled_from(_EDGE_FLOATS), hst.floats(-2.0, 2.0))
+_config_values = {
+    "m1": hst.integers(-1, 12), "m2": hst.integers(-1, 12),
+    "dx": _cli_floats, "dy": _cli_floats, "dt": _cli_floats, "theta": _cli_floats,
+    "c1": _cli_floats, "c2": _cli_floats, "d11": _cli_floats, "d12": _cli_floats,
+    "d21": _cli_floats, "d22": _cli_floats, "beta": _cli_floats,
+    "steps": hst.integers(-1, 3),
+    "scheme": hst.sampled_from(["mcs", "douglas", "adi"]),
+    "initial": hst.sampled_from(
+        ["mode:1,1", "mode:0,2", "mode:99,0", "mode:1", "impulse", "random:3", "random:x", "x"]
+    ),
+    "bogus": hst.integers(0, 1),
+}
+
+
+@hst.composite
+def _problem_text(draw):
+    keys = draw(hst.lists(hst.sampled_from(sorted(_config_values)), unique=True))
+    lines = [f"{key} = {draw(_config_values[key])!r}".replace("'", "") for key in keys]
+    lines += draw(hst.lists(hst.sampled_from(["# note", "", "m1", "= 3", "dt = "]), max_size=2))
+    return "\n".join(draw(hst.permutations(lines))) + "\n"
+
+
+def _flag(name, values):
+    return hst.one_of(hst.just([]), values.map(lambda v: [name, str(v)]))
+
+
+_common_flags = hst.tuples(
+    _flag("--seed", hst.integers(-1, 1 << 64)),
+    _flag("--threads", hst.integers(-1, 3)),
+)
+_problem_command = hst.tuples(
+    hst.sampled_from([["solve"], ["amplification", "--k1", "1", "--k2", "0"]]),
+    _problem_text(),
+    _flag("--steps", hst.integers(-1, 3)),
+    _flag("--theta", _cli_floats),
+    _flag("--scheme", hst.sampled_from(["mcs", "douglas", "adi"])),
+)
+# --samples and --theorem are always given: the defaults run for seconds
+_figure1_flags = hst.tuples(
+    hst.just(["figure1"]),
+    hst.integers(-1, 3000).map(lambda n: ["--samples", str(n)]),
+    _flag("--theta-min", _cli_floats),
+    _flag("--theta-max", _cli_floats),
+    _flag("--theta-step", hst.one_of(_cli_floats, hst.floats(1e-6, 1e-3))),
+)
+_verify_flags = hst.tuples(
+    hst.just(["verify"]),
+    hst.sampled_from(["0", "3", "4", "5"]).map(lambda n: ["--theorem", n]),
+    hst.integers(-1, 3000).map(lambda n: ["--samples", str(n)]),
+    _flag("--theta", _cli_floats),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    command=(["figure1"], ["--samples", "10"], ["--theta-min", "1e200"],
+             ["--theta-max", "1e200"], []),
+    common=([], []), write_out=True,
+)
+@given(
+    command=hst.one_of(_problem_command, _figure1_flags, _verify_flags),
+    common=_common_flags,
+    write_out=hst.booleans(),
+)
+def test_cli_exits_with_a_documented_code_and_no_traceback(command, common, write_out):
+    # theorems 1 and 2 scan fixed grids for seconds; 3-5 take the same CLI path
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for part in command:
+            if isinstance(part, str):  # a generated problem file
+                path = os.path.join(tmp, "problem.cfg")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(part)
+                part = ["--config", path]
+            argv += part
+        for part in common:
+            argv += part
+        if write_out:
+            argv += ["--out", os.path.join(tmp, "out.csv")]
+        err = io.StringIO()
+        # overflow warnings of extreme inputs are expected here, not reported
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

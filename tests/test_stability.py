@@ -151,6 +151,11 @@ def test_scratch_evaluation_is_bit_identical_to_the_expression(theta):
         reused = stability_function(theta, z0, z1, z2, work=work)
         assert np.asarray(want).dtype == np.asarray(got).dtype == np.asarray(reused).dtype, name
         assert np.array_equal(want, got) and np.array_equal(want, reused), name
+        # the scans hand in the theta-free sum once per block
+        hoisted = stability_function(theta, z0, z1, z2, work=work, zz=z0 + (z1 + z2))
+        assert np.asarray(hoisted).dtype == np.asarray(want).dtype, name
+        assert np.array_equal(want, hoisted) and np.array_equal(
+            want, stability_function(theta, z0, z1, z2, zz=z0 + (z1 + z2))), name
         if name == "thm2_band":
             assert reused.dtype == np.float64
         elif name != "scalar":
