@@ -167,8 +167,11 @@ def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     work = getattr(_scratch, "work", None)
     if work is None or work[0].size < n:
         work = _scratch.work = [np.empty(max(n, BLOCK_SAMPLES), complex) for _ in range(4)]
-    s = stability_function(theta, z0, z1, z2, work=work, zz=zz)
-    v = np.abs(s, out=work[3].view(float)[:n].reshape(s.shape))
+    # an overflow shows as a NaN or inf maximum, which callers report; set here
+    # because pool threads do not inherit the submitting thread's errstate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = stability_function(theta, z0, z1, z2, work=work, zz=zz)
+        v = np.abs(s, out=work[3].view(float)[:n].reshape(s.shape))
     i = np.unravel_index(int(np.argmax(v)), v.shape)
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
 
@@ -625,8 +628,14 @@ def _verify_thm3(seed, samples, threads, theta=None) -> list[CheckResult]:
     checks = []
     thetas = (0.38, 0.40, 0.42) if theta is None else (float(theta),)
     for th in thetas:
-        got = thm3_cubic_coefficient(th)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = thm3_cubic_coefficient(th)
         want = 40.0 * th * th - 16.0 * th
+        if not (math.isfinite(got) and math.isfinite(want)):
+            raise ArithmeticError(
+                f"cubic coefficient not finite at theta = {th:.17g} "
+                f"(estimate {got:.17g}, closed form {want:.17g})"
+            )
         tag = f"{th:.6g}".replace(".", "_")
         checks.append(
             CheckResult(

@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularSystemError as exc:
+    except ArithmeticError as exc:  # SingularSystemError, a non-finite verify result
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import mcs_adi
 from mcs_adi.analysis import CheckResult
 from mcs_adi.cli import main
 from mcs_adi.config import (
@@ -297,16 +298,39 @@ def test_figure1_cli_flag_validation(capsys):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _run_module(*args):
+    """(exit code, stderr lines) of `python -m mcs_adi ARGS`: numpy warnings included."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcs_adi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "mcs_adi", *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+    return proc.returncode, proc.stderr.splitlines()
+
+
 def test_figure1_cli_reports_overflowing_theta_as_numerical_breakdown(tmp_path, capsys):
     # theta^2 |z1 z2| overflows for theta near 1e160: every |S| is NaN, which
     # used to fold to max -inf with no witness and crash the CSV writer
     out = tmp_path / "scan.csv"
     argv = ["figure1", "--samples", "100", "--theta-min", "1e200", "--theta-max", "1e200"]
-    assert main(argv + ["--out", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["numerical breakdown: |S| not finite at theta = 9.9999999999999997e+199"]
+    want = ["numerical breakdown: |S| not finite at theta = 9.9999999999999997e+199"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # on the pool threads too
+        assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == want
     assert not out.exists()
+    assert _run_module(*argv) == (3, want)
+
+
+def test_verify_cli_reports_overflowing_theta_as_numerical_breakdown(capsys):
+    argv = ["verify", "--theorem", "3", "--theta", "1e200"]
+    want = ["numerical breakdown: cubic coefficient not finite at theta = 9.9999999999999997e+199 "
+            "(estimate nan, closed form inf)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines() == want
+    assert _run_module(*argv) == (3, want)
 
 
 # ----------------------------------------------------------------- verify CLI
@@ -484,6 +508,10 @@ _verify_flags = hst.tuples(
     command=(["figure1"], ["--samples", "10"], ["--theta-min", "1e200"],
              ["--theta-max", "1e200"], []),
     common=([], []), write_out=True,
+)
+@example(
+    command=(["verify"], ["--theorem", "3"], ["--samples", "10"], ["--theta", "1e200"]),
+    common=([], []), write_out=False,
 )
 @given(
     command=hst.one_of(_problem_command, _figure1_flags, _verify_flags),

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,13 +105,25 @@ def test_apply_matches_rolled_stencils_bitwise(shape, beta):
     ops = build_split_operators(COEFFS, grid)
     u = np.random.Generator(np.random.Philox(key=13)).standard_normal(shape)
     for j in (0, 1, 2):
-        assert np.array_equal(apply_split_operator(ops, j, u), _apply_rolled(ops, j, u))
+        want = _apply_rolled(ops, j, u)
+        assert np.array_equal(apply_split_operator(ops, j, u), want)
+        out = np.full(shape, np.nan)  # stale contents must not leak into the result
+        assert apply_split_operator(ops, j, u, out=out) is out
+        assert np.array_equal(out, want)
 
 
 def test_apply_rejects_bad_operator_index():
     ops = build_split_operators(COEFFS, GRID)
     with pytest.raises(DomainError):
         apply_split_operator(ops, 3, np.zeros(GRID.shape))
+
+
+def test_apply_rejects_out_overlapping_its_input():
+    ops = build_split_operators(COEFFS, GRID)
+    u = np.ones(GRID.shape)
+    for j in (0, 1, 2):
+        with pytest.raises(DomainError, match="overlap"):
+            apply_split_operator(ops, j, u, out=u)
 
 
 def test_constant_field_annihilated():
@@ -254,6 +269,121 @@ def test_step_accepts_time_argument():
     u = np.zeros(GRID.shape)
     params = SchemeParams(0.5, 0.01)
     assert np.array_equal(step_mcs(ops, params, u, t=1.5), step_mcs(ops, params, u))
+
+
+def _step_reference(scheme, ops, params, u):
+    # the allocating array expressions of the stage formulas, in their order
+    theta, dt = params.theta, params.dt
+    td = theta * dt
+    a0u, a1u, a2u = (_apply_rolled(ops, j, u) for j in (0, 1, 2))
+    y0 = u + dt * (a0u + a1u + a2u)
+    y1 = solve_directional(ops, 1, td, y0 - td * a1u)
+    y2 = solve_directional(ops, 2, td, y1 - td * a2u)
+    if scheme == "douglas":
+        return y2
+    dy = y2 - u
+    a0dy = _apply_rolled(ops, 0, dy)
+    yh0 = y0 + td * a0dy
+    yt0 = yh0 + (0.5 - theta) * dt * (a0dy + _apply_rolled(ops, 1, dy) + _apply_rolled(ops, 2, dy))
+    yt1 = solve_directional(ops, 1, td, yt0 - td * a1u)
+    return solve_directional(ops, 2, td, yt1 - td * a2u)
+
+
+@pytest.mark.parametrize("scheme", ["mcs", "douglas"])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (3, 4), (3, 5), (8, 6), (64, 48)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_step_matches_allocating_stage_expressions_bitwise(shape, beta, scheme):
+    grid = GridSpec(m1=shape[0], m2=shape[1], dx=0.2, dy=0.25, beta=beta)
+    ops = build_split_operators(COEFFS, grid)
+    step = get_step_function(scheme)
+    for theta in (1.0 / 3.0, 0.5):  # 1/3: the (1/2 - theta) term of Yt0 is not zero
+        params = SchemeParams(theta, 0.05)
+        u = want = np.random.Generator(np.random.Philox(key=23)).standard_normal(shape)
+        for _ in range(4):
+            u, want = step(ops, params, u), _step_reference(scheme, ops, params, want)
+            assert np.array_equal(u, want)
+
+
+def _fft_round_trip_peak(u):
+    # what the step may not avoid: one rfft/irfft pair along the strided axis
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        np.fft.irfft(np.fft.rfft(u, axis=0), n=u.shape[0], axis=0)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_step_allocates_only_its_fft_arrays():
+    grid = GridSpec(m1=128, m2=128, dx=1.0 / 128, dy=1.0 / 128, beta=0.5)
+    ops = build_split_operators(COEFFS, grid)
+    params = SchemeParams(1.0 / 3.0, 1e-3)
+    u = step_mcs(ops, params, np.random.Generator(np.random.Philox(key=29)).standard_normal(grid.shape))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        u = step_mcs(ops, params, u)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # with numpy 2 the FFT pair peaks at about 2 fields, so the bound is about
+    # 4 fields; the step with its temporaries allocated peaked at about 15
+    assert peak < _fft_round_trip_peak(u) + 2 * u.nbytes
+
+
+def test_threads_sharing_operators_step_like_serial_runs():
+    grid = GridSpec(m1=32, m2=24, dx=0.2, dy=0.25, beta=0.5)
+    ops = build_split_operators(COEFFS, grid)
+    params = SchemeParams(1.0 / 3.0, 0.05)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    starts = [rng.standard_normal(grid.shape) for _ in range(4)]  # more threads than cores
+
+    def run(u, scheme, steps=25):
+        step = get_step_function(scheme)
+        for _ in range(steps):
+            u = step(ops, params, u)
+        return u
+
+    jobs = [(u, scheme) for u, scheme in zip(starts, ["mcs", "douglas"] * 2)]
+    want = [run(*job) for job in jobs]
+    got = [None] * len(jobs)
+
+    def worker(k):
+        got[k] = run(*jobs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("scheme", ["mcs", "douglas"])
+def test_step_results_do_not_share_memory(scheme):
+    ops = build_split_operators(COEFFS, GRID)
+    params = SchemeParams(1.0 / 3.0, 0.05)
+    step = get_step_function(scheme)
+    u = np.random.Generator(np.random.Philox(key=37)).standard_normal(GRID.shape)
+    first = step(ops, params, u)
+    second = step(ops, params, first)
+    kept = first.copy()
+    third = step(ops, params, second)
+    assert np.array_equal(first, kept)
+    results = (u, first, second, third)
+    for k, a in enumerate(results):
+        for b in results[k + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_get_step_function_dispatch():
