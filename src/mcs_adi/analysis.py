@@ -20,9 +20,10 @@ The thmN_* helpers verify the five closed-form thresholds
     1/2   sufficiency on the full cone via a phase-monotone bound,
 
 each against quantities this package computes independently of the scans:
-exact rational arithmetic where the numbers allow it, deterministic grid
-sweeps and Richardson extrapolation elsewhere.  `verify_theorem` bundles
-them into named pass/fail checks for the CLI.
+deterministic grid sweeps, exact floating-point spot values, and for 2/5 and
+5/12 exact certificates -- polynomial identities in rational arithmetic
+(`fractions.Fraction`) that prove the closed form.
+`verify_theorem` bundles them into named pass/fail checks for the CLI.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
@@ -52,6 +53,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -394,20 +396,83 @@ def thm2_sharp_point(theta: float) -> SpectralPoint:
     return SpectralPoint(-2.0 / theta, -1.0 / theta, -1.0 / theta)
 
 
-def thm3_cubic_coefficient(theta: float, a0: float = -1e-2) -> float:
+# Exact polynomials: coefficient lists (index = power of the variable) of
+# Fractions; a complex polynomial is a (re, im) pair of them.  `fractions` is
+# imported on use: it loads `decimal` (0.4 MiB), which only the certificates need.
+
+
+def _padd(p, q):
+    """Sum of two polynomials."""
+    return [c + d for c, d in zip_longest(p, q, fillvalue=0)]
+
+
+def _pmul(p, q):
+    """Product of two polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _cadd(u, v):
+    """Sum of two complex polynomials."""
+    return _padd(u[0], v[0]), _padd(u[1], v[1])
+
+
+def _cmul(u, v):
+    """Product of two complex polynomials."""
+    re = _padd(_pmul(u[0], v[0]), _pmul([-1], _pmul(u[1], v[1])))
+    return re, _padd(_pmul(u[0], v[1]), _pmul(u[1], v[0]))
+
+
+def _thm3_family(theta):
+    """Numerator N and denominator D = p^2 of S = N/D on z0 = -2a, z1 = z2 = a(1+i).
+
+    Complex polynomials in a for an exact (Fraction) theta, from the additive
+    form of `stability_function`:
+    N = p^2 + zz p + theta z0 zz + (1/2 - theta) zz^2 with p = (1 - theta a(1+i))^2
+    and zz = z0 + z1 + z2 = 2ia.
+    """
+    one_m = ([1, -theta], [0, -theta])
+    p = _cmul(one_m, one_m)
+    z0, zz = ([0, -2], []), ([], [0, 2])
+    d = _cmul(p, p)
+    tail = _cadd(_cmul(([theta], []), z0), _cmul(([(1 - 2 * theta) / 2], []), zz))
+    return _cadd(_cadd(d, _cmul(zz, p)), _cmul(zz, tail)), d
+
+
+def _thm3_cubic(theta: float) -> tuple[float, bool]:
+    """float(C) and C == 40 theta^2 - 16 theta, C the a^3 coefficient of |N|^2 - |D|^2.
+
+    C is exact at the exact value of theta.  Raises ArithmeticError unless the
+    a^0 .. a^2 coefficients vanish exactly, or when C does not fit a float.
+    """
+    from fractions import Fraction
+
+    t = Fraction(theta)
+    n, d = _thm3_family(t)
+    diff = _padd(_padd(_pmul(n[0], n[0]), _pmul(n[1], n[1])),
+                 _pmul([-1], _padd(_pmul(d[0], d[0]), _pmul(d[1], d[1]))))
+    if any(diff[:3]):
+        raise ArithmeticError(f"|S|^2 - 1 has terms below a^3 at theta = {theta:.17g}")
+    try:
+        return float(diff[3]), diff[3] == 40 * t * t - 16 * t
+    except OverflowError:
+        raise ArithmeticError(
+            f"cubic coefficient at theta = {theta:.17g} is too large for a float"
+        ) from None
+
+
+def thm3_cubic_coefficient(theta: float) -> float:
     """Leading coefficient of |S|^2 - 1 on the family z0 = -2a, z1 = z2 = a(1+i).
 
     On this family |S|^2 - 1 = C(theta) a^3 + O(a^4) with
     C(theta) = 40 theta^2 - 16 theta, so the sign flips at theta = 2/5.
-    Estimated by Richardson extrapolation of (|S|^2 - 1)/a^3 at a0, a0/2,
-    a0/4, which cancels the a^4 and a^5 terms.
+    C is computed exactly, from |S|^2 - 1 = (|N|^2 - |D|^2) / |D|^2 with
+    |D|^2 = 1 + O(a), and rounded to a float.
     """
-    eta = 1.0 + 1.0j
-    h = []
-    for a in (a0, a0 / 2.0, a0 / 4.0):
-        s = stability_function(theta, -2.0 * a, a * eta, a * eta)
-        h.append((abs(s) ** 2 - 1.0) / a**3)
-    return (8.0 * h[2] - 6.0 * h[1] + h[0]) / 3.0
+    return _thm3_cubic(theta)[0]
 
 
 def thm4_ratio(x):
@@ -424,58 +489,38 @@ def thm4_ratio(x):
     return val.item() if val.ndim == 0 else val
 
 
-def _thm4_dnum(x: float) -> float:
-    """Numerator of d(ratio)/dx; positive left of the maximum, negative right."""
-    p = 1.0 + x + 0.25 * x * x
-    dp = 1.0 + 0.5 * x
-    num = x**3 + 2.0 * p * x * x
-    den = p**3 + p * p * x
-    dnum = 3.0 * x * x + 2.0 * dp * x * x + 4.0 * p * x
-    dden = 3.0 * p * p * dp + 2.0 * p * dp * x + p * p
-    return dnum * den - num * dden
+def _thm4_polynomials():
+    """Numerator and denominator of `thm4_ratio` as exact polynomials in x."""
+    from fractions import Fraction
+
+    p = [1, 1, Fraction(1, 4)]
+    p2 = _pmul(p, p)
+    return _padd([0, 0, 0, 1], _pmul([0, 0, 2], p)), _padd(_pmul(p2, p), _pmul(p2, [0, 1]))
 
 
-def thm4_maximize(x_max: float = 100.0, coarse_points: int = 2001) -> tuple[float, float]:
-    """Locate the maximum of `thm4_ratio` on [0, x_max].
+def _divide_by_root(p, r):
+    """Quotient and remainder of p(x) / (x - r), by Horner's scheme."""
+    acc, out = 0, []
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
 
-    Coarse grid, then golden-section to ~1e-6, then bisection on the sign of
-    the derivative numerator down to an interval of 1e-13 (golden-section
-    alone stalls at sqrt(eps) next to a quadratic maximum).  Returns
-    (argmax, value).
+
+def thm4_maximize() -> tuple[float, float]:
+    """Maximum of `thm4_ratio` over x >= 0, certified exactly: (2.0, 5/12).
+
+    With num/den the ratio, 5 den - 12 num = (x - 2)^2 Q(x) where Q has only
+    positive coefficients, and den does too, so ratio <= 5/12 on x >= 0 with
+    equality only at x = 2.  Raises ArithmeticError if the identity fails.
     """
-    xs = np.linspace(0.0, x_max, coarse_points)
-    i = int(np.argmax(thm4_ratio(xs)))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, coarse_points - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = thm4_ratio(c), thm4_ratio(d)
-    while b - a > 1e-6:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = thm4_ratio(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = thm4_ratio(c)
-    x = 0.5 * (a + b)
-    lo, hi = max(x - 1e-3, 0.0), x + 1e-3
-    flo, fhi = _thm4_dnum(lo), _thm4_dnum(hi)
-    if flo > 0.0 > fhi:
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            fm = _thm4_dnum(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if fm > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-    return x, float(thm4_ratio(x))
+    num, den = _thm4_polynomials()
+    q, r1 = _divide_by_root(_padd(_pmul([5], den), _pmul([-12], num)), 2)
+    q, r2 = _divide_by_root(q, 2)
+    if r1 or r2 or not all(c > 0 for c in q + den):
+        raise ArithmeticError("the 5/12 certificate of the threshold ratio does not hold")
+    return 2.0, thm4_ratio(2.0)
 
 
 def thm4_witness_search(theta: float, x_grid=None, phi_grid=None) -> Optional[SpectralPoint]:
@@ -619,29 +664,17 @@ def _verify_thm2(seed, samples, threads) -> list[CheckResult]:
     return checks
 
 
-def _thm3_tolerance(want: float) -> float:
-    # 1% relative, floored at 1e-3 absolute where the closed form vanishes
-    return max(1e-3, 0.01 * abs(want))
-
-
 def _verify_thm3(seed, samples, threads, theta=None) -> list[CheckResult]:
     checks = []
     thetas = (0.38, 0.40, 0.42) if theta is None else (float(theta),)
     for th in thetas:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            got = thm3_cubic_coefficient(th)
+        got, equal = _thm3_cubic(th)
         want = 40.0 * th * th - 16.0 * th
-        if not (math.isfinite(got) and math.isfinite(want)):
-            raise ArithmeticError(
-                f"cubic coefficient not finite at theta = {th:.17g} "
-                f"(estimate {got:.17g}, closed form {want:.17g})"
-            )
         tag = f"{th:.6g}".replace(".", "_")
         checks.append(
             CheckResult(
-                f"cubic_coefficient_at_{tag}", got,
-                abs(got - want) <= _thm3_tolerance(want),
-                f"Richardson estimate vs closed form {want:.6g}",
+                f"cubic_coefficient_at_{tag}", got, equal,
+                f"exact coefficient vs closed form {want:.6g}",
             )
         )
         if want < -1e-3:
@@ -760,8 +793,8 @@ def verify_theorem(
 ) -> list[CheckResult]:
     """Run the named checks of threshold n (1..5); quick by construction.
 
-    `theta` only affects n = 3, where it redirects the cubic-coefficient
-    estimate to a caller-chosen parameter value.
+    `theta` only affects n = 3, where it redirects the exact cubic
+    coefficient to a caller-chosen parameter value.
     """
     if n not in _VERIFIERS:
         raise DomainError(f"theorem number must be 1..5, got {n}")

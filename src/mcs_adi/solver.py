@@ -196,11 +196,6 @@ def build_split_operators(coeffs: PdeCoefficients, grid: GridSpec) -> SplitOpera
     return SplitOperators(coeffs, grid)
 
 
-def new_field(grid: GridSpec) -> np.ndarray:
-    """Zero-initialized grid field of shape (m1, m2)."""
-    return np.zeros(grid.shape)
-
-
 def validate_field(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Check that u is a finite real float array of the grid's shape."""
     u = np.asarray(u)
@@ -304,12 +299,8 @@ def _douglas_predictor(ops: SplitOperators, params: SchemeParams, u: np.ndarray,
     return solve_directional(ops, 2, td, rhs)
 
 
-def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Advance a field by one MCS step.
-
-    `t` is accepted for interface uniformity with time-dependent problems
-    and ignored (the operators here are autonomous).
-    """
+def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray) -> np.ndarray:
+    """Advance a field by one MCS step."""
     theta, dt = params.theta, params.dt
     td = theta * dt
     ws = ops._workspace()
@@ -327,7 +318,7 @@ def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float 
     return solve_directional(ops, 2, td, rhs)
 
 
-def step_douglas(ops: SplitOperators, params: SchemeParams, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+def step_douglas(ops: SplitOperators, params: SchemeParams, u: np.ndarray) -> np.ndarray:
     """Advance a field by one Douglas step (the MCS predictor alone)."""
     return _douglas_predictor(ops, params, u, ops._workspace())
 
@@ -343,16 +334,11 @@ def get_step_function(scheme: str):
         raise DomainError(f"unknown scheme {scheme!r}, expected one of {sorted(_STEP_FUNCTIONS)}")
 
 
-def douglas_amplification_factor(theta: float, pt: SpectralPoint) -> complex:
-    """Closed-form per-step factor 1 + (z0 + z)/p of the Douglas scheme."""
-    return 1.0 + (pt.z0 + pt.z) / pt.p(theta)
-
-
 def predicted_amplification(scheme: str, theta: float, pt: SpectralPoint) -> complex:
     """Closed-form per-step factor of either scheme at one spectral point."""
     get_step_function(scheme)
     if scheme == "douglas":
-        return douglas_amplification_factor(theta, pt)
+        return 1.0 + (pt.z0 + pt.z) / pt.p(theta)
     return eval_stability_function(theta, pt)
 
 
@@ -397,14 +383,14 @@ class ManufacturedProblem:
     coarsest_steps: int
 
     def initial_field(self) -> np.ndarray:
-        u = new_field(self.grid)
+        u = np.zeros(self.grid.shape)
         for k1, k2, amp in self.modes:
             u += amp * np.cos(FourierMode(k1, k2).phase_field(self.grid))
         return u
 
     def semi_discrete_reference(self) -> np.ndarray:
         """Exact solution of the semi-discrete system at t_final."""
-        u = new_field(self.grid)
+        u = np.zeros(self.grid.shape)
         for k1, k2, amp in self.modes:
             mode = FourierMode(k1, k2)
             pt = fourier_symbols(self.coeffs, self.grid, 1.0, mode)  # dt=1: raw eigenvalues

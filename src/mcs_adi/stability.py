@@ -18,8 +18,8 @@ satisfies the cone condition
 so unconditional stability questions reduce to: for which theta is |S| <= 1
 on the whole cone?  The helpers below expose the closed-form quantities the
 threshold analysis is built from (the imaginary-axis criterion for theta >=
-1/4, a unit-circle quadratic margin, a Cauchy-Schwarz gap, and the bound
-whose maximum over the cone is exactly 1 for theta >= 1/2).
+1/4, a Cauchy-Schwarz gap, and the bound whose maximum over the cone is
+exactly 1 for theta >= 1/2).
 
 Everything here is a pure function; the evaluators broadcast over numpy
 arrays so the Monte-Carlo scans in `analysis` can reuse them unchanged.
@@ -247,28 +247,6 @@ def thm5_bound(theta, r, phi):
         + 2.0 * one_m_r * thm5_f1(theta, r_arr, phi)
         + thm5_f2(theta, r_arr, phi)
     ) / (8.0 * theta * theta)
-    return _maybe_scalar(val)
-
-
-def lemma1_margin(a, b, c):
-    """Quadratic-coefficient margin a*b + b*c + 4*a*c.
-
-    For real a, b, c with a + b + c of unit modulus, |a*zeta^2 + b*zeta + c|
-    <= 1 on the unit circle forces this to be nonnegative: it is (minus half)
-    the second phi-derivative at the boundary-touching point phi = 0 of the
-    profile returned by `lemma1_profile`.
-    """
-    return a * b + b * c + 4.0 * a * c
-
-
-def lemma1_profile(a, b, c, phi):
-    """Squared modulus f(phi) = |a*e^{2 i phi} + b*e^{i phi} + c|^2 on the unit circle.
-
-    Expands to a^2 + b^2 + c^2 + 2(ab + bc) cos(phi) + 2ac cos(2 phi); in
-    particular f(0) = (a + b + c)^2 and f''(0) = -2*(ab + bc + 4ac).
-    """
-    zeta = np.exp(1j * np.asarray(phi, dtype=float))
-    val = np.abs(a * zeta * zeta + b * zeta + c) ** 2
     return _maybe_scalar(val)
 
 

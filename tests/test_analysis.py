@@ -7,9 +7,12 @@ import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mcs_adi import analysis
 from mcs_adi.analysis import (
@@ -428,6 +431,32 @@ def test_cubic_coefficient_sign_flips_at_two_fifths():
     assert thm3_cubic_coefficient(0.42) > 0.0
 
 
+@given(hst.floats(min_value=1e-6, max_value=1e150))
+@settings(deadline=None)
+def test_cubic_coefficient_is_the_rounded_closed_form(theta):
+    t = Fraction(theta)
+    assert thm3_cubic_coefficient(theta) == float(40 * t * t - 16 * t)
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.38, 0.4, 0.42, 0.5])
+@pytest.mark.parametrize("a", [-1e-2, -1e-3])
+def test_cubic_certificate_polynomials_match_stability_function(theta, a):
+    # the exact N and D behind the certificate are the numerator and
+    # denominator of the float evaluator's S on the family z0 = -2a, z1 = z2 = a(1+i)
+    n, d = analysis._thm3_family(Fraction(theta))
+    fa = Fraction(a)
+    abs2 = [_horner(u[0], fa) ** 2 + _horner(u[1], fa) ** 2 for u in (n, d)]
+    s = complex(stability_function(theta, -2.0 * a, a * (1 + 1j), a * (1 + 1j)))
+    assert abs(abs(s) ** 2 - 1.0 - float(abs2[0] / abs2[1] - 1)) <= 1e-14
+
+
 def test_threshold_ratio_values():
     assert thm4_ratio(0.0) == 0.0
     assert thm4_ratio(2.0) == 5.0 / 12.0
@@ -440,9 +469,14 @@ def test_threshold_ratio_values():
 
 
 def test_threshold_ratio_maximum():
-    x, value = thm4_maximize()
-    assert abs(x - 2.0) <= 1e-12
-    assert abs(value - 5.0 / 12.0) <= 1e-15
+    assert thm4_maximize() == (2.0, 5.0 / 12.0)
+
+
+def test_ratio_certificate_polynomials_match_threshold_ratio():
+    num, den = analysis._thm4_polynomials()
+    for x in (0.0, 0.3, 1.0, 1.9, 2.0, 2.5, 7.0, 40.0, 1e3):
+        got = _horner([float(c) for c in num], x) / _horner([float(c) for c in den], x)
+        assert got == pytest.approx(thm4_ratio(x), rel=1e-14, abs=1e-300)
 
 
 def test_witness_exists_below_threshold_only():

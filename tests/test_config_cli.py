@@ -323,8 +323,8 @@ def test_figure1_cli_reports_overflowing_theta_as_numerical_breakdown(tmp_path, 
 
 def test_verify_cli_reports_overflowing_theta_as_numerical_breakdown(capsys):
     argv = ["verify", "--theorem", "3", "--theta", "1e200"]
-    want = ["numerical breakdown: cubic coefficient not finite at theta = 9.9999999999999997e+199 "
-            "(estimate nan, closed form inf)"]
+    want = ["numerical breakdown: cubic coefficient at theta = 9.9999999999999997e+199 "
+            "is too large for a float"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
@@ -349,6 +349,15 @@ def test_verify_cli_theorem3_with_theta(capsys):
     row = next(line for line in out.splitlines() if "cubic_coefficient" in line)
     measured = float(row.split("measured=")[1].split()[0])
     assert measured == pytest.approx(-1.2, abs=0.012)
+
+
+@pytest.mark.parametrize("theta", ["100", "1e60"])
+def test_verify_cli_theorem3_passes_at_large_theta(theta, capsys):
+    # the cubic coefficient is exact, so a correct scheme passes at any finite theta
+    # whose coefficient fits a float
+    assert main(["verify", "--theorem", "3", "--theta", theta]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.splitlines()[-1] == "2/2 checks passed"
 
 
 def test_verify_cli_writes_csv(tmp_path, capsys):

@@ -13,12 +13,10 @@ from mcs_adi.solver import (
     apply_split_operator,
     build_split_operators,
     default_convergence_problem,
-    douglas_amplification_factor,
     field_l2,
     field_max_norm,
     get_step_function,
     mode_amplification,
-    new_field,
     predicted_amplification,
     run_convergence_study,
     solve_directional,
@@ -147,7 +145,6 @@ def test_field_validation():
     bad[0, 0] = math.nan
     with pytest.raises(DomainError):
         validate_field(GRID, bad)
-    assert new_field(GRID).shape == GRID.shape
 
 
 # ---------------------------------------------------------- directional solves
@@ -262,13 +259,6 @@ def test_zero_coefficients_step_is_identity():
     params = SchemeParams(0.5, 0.125)
     assert np.array_equal(step_mcs(ops, params, u), u)
     assert np.array_equal(step_douglas(ops, params, u), u)
-
-
-def test_step_accepts_time_argument():
-    ops = build_split_operators(COEFFS, GRID)
-    u = np.zeros(GRID.shape)
-    params = SchemeParams(0.5, 0.01)
-    assert np.array_equal(step_mcs(ops, params, u, t=1.5), step_mcs(ops, params, u))
 
 
 def _step_reference(scheme, ops, params, u):
@@ -439,7 +429,7 @@ def test_douglas_factor_is_mcs_without_correction_terms():
     pt = fourier_symbols(PdeCoefficients(c1=0.5, d11=0.2, d22=0.3),
                          GRID, 0.05, FourierMode(2, 3))
     assert pt.z0 == 0.0
-    d = douglas_amplification_factor(0.5, pt)
+    d = predicted_amplification("douglas", 0.5, pt)
     s = eval_stability_function(0.5, pt)
     assert abs(d - s) <= 1e-14 * max(1.0, abs(s))
 

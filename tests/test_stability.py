@@ -14,8 +14,6 @@ from mcs_adi.stability import (
     cone_condition,
     eval_stability_function,
     imaginary_axis_margin,
-    lemma1_margin,
-    lemma1_profile,
     lemma2_gap,
     stability_function,
     stability_function_quadratic,
@@ -291,30 +289,3 @@ def test_thm5_bound_is_one_at_zero_phase(theta):
     dev = np.abs(np.asarray(thm5_bound(theta, r, 0.0)) - 1.0)
     assert float(dev.max()) <= 1e-13
 
-
-# ------------------------------------------------------------ lemma1 pieces
-
-
-def test_lemma1_profile_at_zero_phase():
-    a, b, c = 0.4, -1.1, 0.7
-    want = (a + b + c) ** 2
-    assert abs(lemma1_profile(a, b, c, 0.0) - want) <= 1e-14 * max(1.0, abs(want))
-
-
-@given(
-    a=hst.floats(min_value=-3, max_value=3),
-    b=hst.floats(min_value=-3, max_value=3),
-    c=hst.floats(min_value=-3, max_value=3),
-)
-@settings(max_examples=300)
-def test_lemma1_margin_is_curvature_of_profile(a, b, c):
-    # f''(0) = -2 * (ab + bc + 4ac); central second difference at h = 3e-4
-    # carries O(h^2 * f'''') truncation, well inside 1e-5 * coefficient scale
-    h = 3e-4
-    fd2 = (
-        lemma1_profile(a, b, c, h)
-        - 2.0 * lemma1_profile(a, b, c, 0.0)
-        + lemma1_profile(a, b, c, -h)
-    ) / (h * h)
-    target = -2.0 * lemma1_margin(a, b, c)
-    assert abs(fd2 - target) <= 1e-5 * max(1.0, a * a + b * b + c * c)
