@@ -13,7 +13,6 @@ import sys
 
 from mcs_adi.analysis import (
     DEFAULT_SAMPLES,
-    check_monotone_evidence,
     complex_z0_scan,
     default_theta_grid,
     figure1_scan,
@@ -56,8 +55,6 @@ def main() -> int:
     for theta, mx in zip(report.thetas, report.max_abs_s):
         if round(theta * 400) % 20 == 0:  # every 0.05
             print(f"{theta:9.4f}  {mx:12.8f}")
-    clean = check_monotone_evidence(report)
-    print("single crossing of max|S| = 1:", "yes" if clean else "no (see warning)")
     return 0
 
 

@@ -23,7 +23,7 @@ each against quantities this package computes independently of the scans:
 deterministic grid sweeps, exact floating-point spot values, and for 2/5 and
 5/12 exact certificates -- polynomial identities in rational arithmetic
 (`fractions.Fraction`) that prove the closed form.
-`verify_theorem` bundles them into named pass/fail checks for the CLI.
+`verify_theorem` runs them as one table of named pass/fail checks for the CLI.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
@@ -47,10 +47,10 @@ a third.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -313,31 +313,6 @@ def write_scan_csv(path, report: ScanReport) -> None:
         fh.write(f"package_version = {__version__}\n")
 
 
-def check_monotone_evidence(report: ScanReport, tol: float = 1e-9) -> bool:
-    """Soft sanity check: the unstable thetas should precede the stable ones.
-
-    Sorted by theta, the indicator max|S| > 1 + tol is expected to be a
-    prefix of the grid (unstable region first).  A violation does not raise
-    -- maxima of finite samples are noisy near the threshold -- it emits a
-    warning and returns False.
-    """
-    if not report.thetas:
-        return True
-    order = np.argsort(np.asarray(report.thetas), kind="stable")
-    above = np.asarray(report.max_abs_s)[order] > 1.0 + tol
-    if above.any() and not above.all():
-        first_ok = int(np.argmin(above))
-        last_above = int(np.nonzero(above)[0][-1])
-        if first_ok < last_above:
-            warnings.warn(
-                "scan maxima cross 1 more than once: "
-                f"stable at index {first_ok}, unstable again at {last_above}",
-                stacklevel=2,
-            )
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Deterministic grid scans behind the individual thresholds
 
@@ -580,208 +555,105 @@ class CheckResult:
     detail: str = ""
 
 
-def _verify_thm1(seed, samples, threads) -> list[CheckResult]:
-    checks = []
-    m = imaginary_axis_margin(0.25)
-    checks.append(
-        CheckResult(
-            "margin_zero_at_1_4", m, m == 0.0,
-            "imaginary-axis criterion margin vanishes exactly at theta = 1/4",
-        )
-    )
-    m = imaginary_axis_margin(0.5)
-    checks.append(
-        CheckResult(
-            "margin_zero_at_1_2", m, m == 0.0,
-            "criterion margin vanishes exactly at theta = 1/2",
-        )
-    )
-    grid = np.linspace(0.25, 1.0, 301)
-    worst = float(min(imaginary_axis_margin(float(t)) for t in grid))
-    checks.append(
-        CheckResult(
-            "margin_nonnegative_above_1_4", worst, worst >= 0.0,
-            "criterion margin >= 0 on a 301-point grid over [1/4, 1]",
-        )
-    )
-    m = imaginary_axis_margin(0.24)
-    checks.append(
-        CheckResult(
-            "margin_negative_below_1_4", m, m < 0.0,
-            "criterion margin < 0 at theta = 0.24",
-        )
-    )
-    for theta, tag in ((0.25, "1_4"), (0.5, "1_2"), (1.0, "1")):
-        r = thm1_threshold_scan(theta, threads=threads)
-        checks.append(
-            CheckResult(
-                f"imaginary_axis_max_at_{tag}", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,
-                f"max |S| over pure-imaginary grid at theta = {theta:.6g}",
-            )
-        )
-    r = thm1_threshold_scan(0.24, threads=threads)
-    checks.append(
-        CheckResult(
-            "imaginary_axis_excess_at_0_24", r.max_abs_s, r.max_abs_s >= 1.0 + 1e-4,
-            "max |S| over pure-imaginary grid exceeds 1 at theta = 0.24",
-        )
-    )
-    return checks
+def _witness_abs_s(theta: float) -> float:
+    """|S| at the triplet `thm4_witness_search` finds at theta; 0.0 when it finds none."""
+    wit = thm4_witness_search(theta)
+    return 0.0 if wit is None else abs(eval_stability_function(theta, wit))
 
 
-def _verify_thm2(seed, samples, threads) -> list[CheckResult]:
-    checks = []
-    theta = 1.0 / 3.0
-    s = eval_stability_function(theta, thm2_sharp_point(theta))
-    dev = abs(s - 1.0)
-    checks.append(
-        CheckResult(
-            "sharp_point_on_unit_circle", dev, dev <= 1e-14,
-            "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3",
-        )
-    )
-    r = thm2_real_grid_scan(theta, threads=threads)
-    checks.append(
-        CheckResult(
-            "real_grid_max_at_1_3", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,
-            "max |S| over the all-real cone grid at theta = 1/3",
-        )
-    )
-    r = thm2_real_grid_scan(0.32, threads=threads)
-    checks.append(
-        CheckResult(
-            "real_grid_excess_at_0_32", r.max_abs_s, r.max_abs_s >= 1.15,
-            "max |S| over the all-real cone grid well above 1 at theta = 0.32",
-        )
-    )
-    r = thm2_real_grid_scan(0.5, threads=threads)
-    checks.append(
-        CheckResult(
-            "real_grid_max_at_1_2", r.max_abs_s, r.max_abs_s <= 1.0 + 1e-12,
-            "max |S| over the all-real cone grid at theta = 1/2",
-        )
-    )
-    return checks
+def _check_rows(seed, samples, threads, theta) -> list[tuple]:
+    """The checks of `verify` in output order, as (theorem, name, measure, predicate, detail).
 
-
-def _verify_thm3(seed, samples, threads, theta=None) -> list[CheckResult]:
-    checks = []
-    thetas = (0.38, 0.40, 0.42) if theta is None else (float(theta),)
-    for th in thetas:
-        got, equal = _thm3_cubic(th)
+    A measure takes no argument and returns the measured value; the predicate
+    turns it into pass/fail.  Measures look the scans up among this module's
+    globals when they run, so building the rows runs no scan, and a scan
+    wrapped or replaced after import is the one that runs.  A value that several rows read -- the complex
+    scan, the cubic coefficient at one theta, the ratio maximum -- is computed
+    once per call.
+    """
+    scan = functools.cache(
+        lambda: complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
+    )
+    cubic = functools.cache(lambda th: _thm3_cubic(th))
+    ratio_max = functools.cache(lambda: thm4_maximize())
+    rows = [
+        (1, "margin_zero_at_1_4", lambda: imaginary_axis_margin(0.25), lambda m: m == 0.0,
+         "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
+        (1, "margin_zero_at_1_2", lambda: imaginary_axis_margin(0.5), lambda m: m == 0.0,
+         "criterion margin vanishes exactly at theta = 1/2"),
+        (1, "margin_nonnegative_above_1_4",
+         lambda: float(min(imaginary_axis_margin(float(t)) for t in np.linspace(0.25, 1.0, 301))),
+         lambda m: m >= 0.0, "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
+        (1, "margin_negative_below_1_4", lambda: imaginary_axis_margin(0.24), lambda m: m < 0.0,
+         "criterion margin < 0 at theta = 0.24"),
+        *[(1, f"imaginary_axis_max_at_{tag}",
+           lambda t=t: thm1_threshold_scan(t, threads=threads).max_abs_s,
+           lambda m: m <= 1.0 + 1e-12, f"max |S| over pure-imaginary grid at theta = {t:.6g}")
+          for t, tag in ((0.25, "1_4"), (0.5, "1_2"), (1.0, "1"))],
+        (1, "imaginary_axis_excess_at_0_24",
+         lambda: thm1_threshold_scan(0.24, threads=threads).max_abs_s, lambda m: m >= 1.0 + 1e-4,
+         "max |S| over pure-imaginary grid exceeds 1 at theta = 0.24"),
+        (2, "sharp_point_on_unit_circle",
+         lambda: abs(eval_stability_function(1.0 / 3.0, thm2_sharp_point(1.0 / 3.0)) - 1.0),
+         lambda m: m <= 1e-14,
+         "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
+        (2, "real_grid_max_at_1_3",
+         lambda: thm2_real_grid_scan(1.0 / 3.0, threads=threads).max_abs_s,
+         lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/3"),
+        (2, "real_grid_excess_at_0_32",
+         lambda: thm2_real_grid_scan(0.32, threads=threads).max_abs_s,
+         lambda m: m >= 1.15, "max |S| over the all-real cone grid well above 1 at theta = 0.32"),
+        (2, "real_grid_max_at_1_2",
+         lambda: thm2_real_grid_scan(0.5, threads=threads).max_abs_s,
+         lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/2"),
+    ]
+    for th in (0.38, 0.40, 0.42) if theta is None else (float(theta),):
         want = 40.0 * th * th - 16.0 * th
         tag = f"{th:.6g}".replace(".", "_")
-        checks.append(
-            CheckResult(
-                f"cubic_coefficient_at_{tag}", got, equal,
-                f"exact coefficient vs closed form {want:.6g}",
-            )
-        )
-        if want < -1e-3:
-            checks.append(
-                CheckResult(
-                    f"error_term_negative_at_{tag}", got, got < 0.0,
-                    "negative cubic term: not stable on this family (theta < 2/5)",
-                )
-            )
-        elif want > 1e-3:
-            checks.append(
-                CheckResult(
-                    f"error_term_positive_at_{tag}", got, got > 0.0,
-                    "positive cubic term: decay on this family (theta > 2/5)",
-                )
-            )
-        else:
-            checks.append(
-                CheckResult(
-                    f"error_term_vanishes_at_{tag}", got, abs(got) <= 1e-3,
-                    "cubic term changes sign at theta = 2/5",
-                )
-            )
-    return checks
-
-
-def _verify_thm4(seed, samples, threads) -> list[CheckResult]:
-    checks = []
-    x, value = thm4_maximize()
-    checks.append(
-        CheckResult(
-            "ratio_argmax_at_2", x, abs(x - 2.0) <= 1e-9,
-            "maximizer of the threshold ratio",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "ratio_max_is_5_12", value, abs(value - 5.0 / 12.0) <= 1e-15,
-            "maximum of the threshold ratio equals 5/12",
-        )
-    )
-    v2 = thm4_ratio(2.0)
-    checks.append(
-        CheckResult(
-            "ratio_at_2_exact", v2, v2 == 5.0 / 12.0,
-            "ratio(2) = 5/12 holds exactly in floating point",
-        )
-    )
-    wit = thm4_witness_search(0.40)
-    measured = abs(eval_stability_function(0.40, wit)) if wit is not None else 0.0
-    checks.append(
-        CheckResult(
-            "instability_witness_below_5_12", measured,
-            wit is not None and measured > 1.0 + 1e-10,
-            "cone triplet with |S| > 1 exists at theta = 0.40",
-        )
-    )
-    for theta, tag in ((5.0 / 12.0, "5_12"), (0.45, "0_45")):
-        wit = thm4_witness_search(theta)
-        measured = 0.0 if wit is None else abs(eval_stability_function(theta, wit))
-        checks.append(
-            CheckResult(
-                f"no_witness_at_{tag}", measured, wit is None,
-                f"the witness family stays inside the unit disk at theta = {theta:.6g}",
-            )
-        )
-    return checks
-
-
-def _verify_thm5(seed, samples, threads) -> list[CheckResult]:
-    checks = []
-    rr = np.linspace(0.0, 1.0, 101)
-    dev = max(
-        float(np.max(np.abs(np.asarray(thm5_bound(theta, rr, 0.0)) - 1.0)))
-        for theta in (0.5, 0.75, 1.0)
-    )
-    checks.append(
-        CheckResult(
-            "bound_equals_1_at_phi_0", dev, dev <= 1e-13,
-            "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}",
-        )
-    )
-    phis = np.linspace(0.0, math.pi, 361)
-    worst_inc = -math.inf
-    for theta in (0.5, 0.6, 0.75, 0.9, 1.0):
-        for r in np.linspace(0.0, 1.0, 21):
-            b = np.asarray(thm5_bound(theta, r, phis))
-            worst_inc = max(worst_inc, float(np.max(np.diff(b))))
-    checks.append(
-        CheckResult(
-            "bound_nonincreasing_in_phase", worst_inc, worst_inc <= 1e-12,
-            "forward differences of the bound in phi are <= 0 for theta >= 1/2",
-        )
-    )
-    report = complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
-    for theta, mx in zip(report.thetas, report.max_abs_s):
-        tag = f"{theta:.2f}".replace(".", "_")
-        checks.append(
-            CheckResult(
-                f"complex_cone_max_at_{tag}", mx, mx <= 1.0 + 1e-12,
-                f"sampled max |S| with complex z0 at theta = {theta:.6g}",
-            )
-        )
-    return checks
-
-
-_VERIFIERS = {1: _verify_thm1, 2: _verify_thm2, 3: _verify_thm3, 4: _verify_thm4, 5: _verify_thm5}
+        kind = "negative" if want < -1e-3 else "positive" if want > 1e-3 else "vanishes"
+        predicate, detail = {
+            "negative": (lambda m: m < 0.0,
+                         "negative cubic term: not stable on this family (theta < 2/5)"),
+            "positive": (lambda m: m > 0.0,
+                         "positive cubic term: decay on this family (theta > 2/5)"),
+            "vanishes": (lambda m: abs(m) <= 1e-3, "cubic term changes sign at theta = 2/5"),
+        }[kind]
+        rows += [
+            (3, f"cubic_coefficient_at_{tag}", lambda t=th: cubic(t)[0],
+             lambda m, t=th: cubic(t)[1], f"exact coefficient vs closed form {want:.6g}"),
+            (3, f"error_term_{kind}_at_{tag}", lambda t=th: cubic(t)[0], predicate, detail),
+        ]
+    rows += [
+        (4, "ratio_argmax_at_2", lambda: ratio_max()[0], lambda m: abs(m - 2.0) <= 1e-9,
+         "maximizer of the threshold ratio"),
+        (4, "ratio_max_is_5_12", lambda: ratio_max()[1], lambda m: abs(m - 5.0 / 12.0) <= 1e-15,
+         "maximum of the threshold ratio equals 5/12"),
+        (4, "ratio_at_2_exact", lambda: thm4_ratio(2.0), lambda m: m == 5.0 / 12.0,
+         "ratio(2) = 5/12 holds exactly in floating point"),
+        (4, "instability_witness_below_5_12", lambda: _witness_abs_s(0.40),
+         lambda m: m > 1.0 + 1e-10, "cone triplet with |S| > 1 exists at theta = 0.40"),
+        *[(4, f"no_witness_at_{tag}", lambda t=t: _witness_abs_s(t), lambda m: m == 0.0,
+           f"the witness family stays inside the unit disk at theta = {t:.6g}")
+          for t, tag in ((5.0 / 12.0, "5_12"), (0.45, "0_45"))],
+        (5, "bound_equals_1_at_phi_0",
+         lambda rr=np.linspace(0.0, 1.0, 101): max(
+             float(np.max(np.abs(np.asarray(thm5_bound(t, rr, 0.0)) - 1.0)))
+             for t in (0.5, 0.75, 1.0)
+         ),
+         lambda m: m <= 1e-13,
+         "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}"),
+        (5, "bound_nonincreasing_in_phase",
+         lambda phis=np.linspace(0.0, math.pi, 361): max(
+             float(np.max(np.diff(np.asarray(thm5_bound(t, r, phis)))))
+             for t in (0.5, 0.6, 0.75, 0.9, 1.0) for r in np.linspace(0.0, 1.0, 21)
+         ),
+         lambda m: m <= 1e-12,
+         "forward differences of the bound in phi are <= 0 for theta >= 1/2"),
+        *[(5, f"complex_cone_max_at_{t:.2f}".replace(".", "_"), lambda k=k: scan().max_abs_s[k],
+           lambda m: m <= 1.0 + 1e-12, f"sampled max |S| with complex z0 at theta = {t:.6g}")
+          for k, t in enumerate((0.5, 0.75))],
+    ]
+    return rows
 
 
 def verify_theorem(
@@ -796,10 +668,13 @@ def verify_theorem(
     `theta` only affects n = 3, where it redirects the exact cubic
     coefficient to a caller-chosen parameter value.
     """
-    if n not in _VERIFIERS:
+    if n not in (1, 2, 3, 4, 5):
         raise DomainError(f"theorem number must be 1..5, got {n}")
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
-    if n == 3:
-        return _verify_thm3(seed, samples, threads, theta=theta)
-    return _VERIFIERS[n](seed, samples, threads)
+    checks = []
+    for thm, name, measure, predicate, detail in _check_rows(seed, samples, threads, theta):
+        if thm == n:
+            m = measure()
+            checks.append(CheckResult(name, m, predicate(m), detail))
+    return checks

@@ -24,7 +24,6 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_SAMPLES,
-    check_monotone_evidence,
     default_theta_grid,
     figure1_scan,
     verify_theorem,
@@ -179,7 +178,6 @@ def cmd_figure1(args) -> int:
     if broken:
         print(f"numerical breakdown: |S| not finite at theta = {broken[0]:.17g}", file=sys.stderr)
         return 3
-    check_monotone_evidence(report)
     if args.out is not None:
         _write_out(write_scan_csv, args.out, report)
     else:

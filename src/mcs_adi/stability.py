@@ -216,23 +216,13 @@ def lemma2_gap(theta, z1, z2):
     return _maybe_scalar(gap)
 
 
-def thm5_f1(theta, r, phi):
-    """First modulus |2*theta + (1 - theta)*(r*e^{i phi} - 1)| of the cone bound."""
-    e = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(phi, dtype=float)) - 1.0
-    return _maybe_scalar(np.abs(2.0 * theta + (1.0 - theta) * e))
-
-
-def thm5_f2(theta, r, phi):
-    """Second modulus |8*theta^2 + 4*theta*(r e^{i phi} - 1) + (1 - 2 theta)(r e^{i phi} - 1)^2|."""
-    e = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(phi, dtype=float)) - 1.0
-    return _maybe_scalar(np.abs(8.0 * theta * theta + 4.0 * theta * e + (1.0 - 2.0 * theta) * e * e))
-
-
 def thm5_bound(theta, r, phi):
     """Cone-maximum bound ((1-r)^2 + 2(1-r) f1 + f2) / (8 theta^2) on |S|.
 
     Here r*e^{i phi} parameterizes 1 + 2*theta*z/p with 0 <= r <= 1 on the
-    cone.  At phi = 0 the bound collapses to exactly 1 for every r, and for
+    cone, and with e = r*e^{i phi} - 1 the two moduli are
+    f1 = |2*theta + (1 - theta)*e| and f2 = |8*theta^2 + 4*theta*e + (1 - 2 theta)*e^2|.
+    At phi = 0 the bound collapses to exactly 1 for every r, and for
     1/2 <= theta <= 1 it is nonincreasing in phi on [0, pi], which is what
     makes theta >= 1/2 sufficient for |S| <= 1 on the whole cone.
     """
@@ -242,11 +232,10 @@ def thm5_bound(theta, r, phi):
     if not theta > 0.0:
         raise DomainError("theta must be positive")
     one_m_r = 1.0 - r_arr
-    val = (
-        one_m_r * one_m_r
-        + 2.0 * one_m_r * thm5_f1(theta, r_arr, phi)
-        + thm5_f2(theta, r_arr, phi)
-    ) / (8.0 * theta * theta)
+    e = r_arr * np.exp(1j * np.asarray(phi, dtype=float)) - 1.0
+    f1 = np.abs(2.0 * theta + (1.0 - theta) * e)
+    f2 = np.abs(8.0 * theta * theta + 4.0 * theta * e + (1.0 - 2.0 * theta) * e * e)
+    val = (one_m_r * one_m_r + 2.0 * one_m_r * f1 + f2) / (8.0 * theta * theta)
     return _maybe_scalar(val)
 
 

@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -19,7 +18,6 @@ from mcs_adi.analysis import (
     BLOCK_SAMPLES,
     CheckResult,
     ScanReport,
-    check_monotone_evidence,
     complex_z0_scan,
     default_theta_grid,
     figure1_scan,
@@ -275,32 +273,6 @@ def test_write_scan_csv(tmp_path):
     assert "package_version" in meta
 
 
-def _fake_report(thetas, maxima):
-    wit = tuple(SpectralPoint(0.0, -1.0, -1.0) for _ in thetas)
-    return ScanReport(thetas=tuple(thetas), max_abs_s=tuple(maxima),
-                      witnesses=wit, samples_per_theta=10, seed=0)
-
-
-def test_monotone_evidence_accepts_single_crossing():
-    report = _fake_report((0.30, 0.32, 0.34, 0.36), (1.05, 1.01, 0.9995, 0.9990))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert check_monotone_evidence(report)
-
-
-def test_monotone_evidence_sorts_by_theta_first():
-    report = _fake_report((0.45, 0.30), (0.99, 1.05))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert check_monotone_evidence(report)
-
-
-def test_monotone_evidence_flags_recrossing():
-    report = _fake_report((0.30, 0.32, 0.34, 0.36), (1.05, 0.999, 1.01, 0.98))
-    with pytest.warns(UserWarning):
-        assert not check_monotone_evidence(report)
-
-
 # ------------------------------------------------- deterministic grid scans
 
 
@@ -535,6 +507,90 @@ def test_verify_theorem_all_checks_pass(n):
 
 def test_verify_theorem3_accepts_parameter_override():
     checks = verify_theorem(3, theta=0.3)
-    assert len(checks) == 2
+    assert [(c.name, c.detail) for c in checks] == [
+        ("cubic_coefficient_at_0_3", "exact coefficient vs closed form -1.2"),
+        ("error_term_negative_at_0_3",
+         "negative cubic term: not stable on this family (theta < 2/5)"),
+    ]
     assert checks[0].passed and abs(checks[0].measured - (-1.2)) <= 0.012
-    assert checks[1].name == "error_term_negative_at_0_3"
+
+
+_VERIFY_ROWS = [
+    (1, "margin_zero_at_1_4", "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
+    (1, "margin_zero_at_1_2", "criterion margin vanishes exactly at theta = 1/2"),
+    (1, "margin_nonnegative_above_1_4", "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
+    (1, "margin_negative_below_1_4", "criterion margin < 0 at theta = 0.24"),
+    (1, "imaginary_axis_max_at_1_4", "max |S| over pure-imaginary grid at theta = 0.25"),
+    (1, "imaginary_axis_max_at_1_2", "max |S| over pure-imaginary grid at theta = 0.5"),
+    (1, "imaginary_axis_max_at_1", "max |S| over pure-imaginary grid at theta = 1"),
+    (1, "imaginary_axis_excess_at_0_24",
+     "max |S| over pure-imaginary grid exceeds 1 at theta = 0.24"),
+    (2, "sharp_point_on_unit_circle",
+     "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
+    (2, "real_grid_max_at_1_3", "max |S| over the all-real cone grid at theta = 1/3"),
+    (2, "real_grid_excess_at_0_32",
+     "max |S| over the all-real cone grid well above 1 at theta = 0.32"),
+    (2, "real_grid_max_at_1_2", "max |S| over the all-real cone grid at theta = 1/2"),
+    (3, "cubic_coefficient_at_0_38", "exact coefficient vs closed form -0.304"),
+    (3, "error_term_negative_at_0_38",
+     "negative cubic term: not stable on this family (theta < 2/5)"),
+    (3, "cubic_coefficient_at_0_4", "exact coefficient vs closed form 0"),
+    (3, "error_term_vanishes_at_0_4", "cubic term changes sign at theta = 2/5"),
+    (3, "cubic_coefficient_at_0_42", "exact coefficient vs closed form 0.336"),
+    (3, "error_term_positive_at_0_42", "positive cubic term: decay on this family (theta > 2/5)"),
+    (4, "ratio_argmax_at_2", "maximizer of the threshold ratio"),
+    (4, "ratio_max_is_5_12", "maximum of the threshold ratio equals 5/12"),
+    (4, "ratio_at_2_exact", "ratio(2) = 5/12 holds exactly in floating point"),
+    (4, "instability_witness_below_5_12", "cone triplet with |S| > 1 exists at theta = 0.40"),
+    (4, "no_witness_at_5_12",
+     "the witness family stays inside the unit disk at theta = 0.416667"),
+    (4, "no_witness_at_0_45", "the witness family stays inside the unit disk at theta = 0.45"),
+    (5, "bound_equals_1_at_phi_0",
+     "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}"),
+    (5, "bound_nonincreasing_in_phase",
+     "forward differences of the bound in phi are <= 0 for theta >= 1/2"),
+    (5, "complex_cone_max_at_0_50", "sampled max |S| with complex z0 at theta = 0.5"),
+    (5, "complex_cone_max_at_0_75", "sampled max |S| with complex z0 at theta = 0.75"),
+]
+
+
+def test_verify_rows_keep_their_names_details_and_exact_values():
+    checks = {(n, c.name): c for n in range(1, 6) for c in verify_theorem(n, samples=65_536)}
+    assert [(n, name, c.detail) for (n, name), c in checks.items()] == _VERIFY_ROWS
+    exact = {
+        "margin_zero_at_1_4": 0.0,
+        "margin_zero_at_1_2": 0.0,
+        "margin_negative_below_1_4": -0.020000000000000004,
+        "ratio_argmax_at_2": 2.0,
+        "ratio_max_is_5_12": 5.0 / 12.0,
+        "ratio_at_2_exact": 5.0 / 12.0,
+    }
+    assert {name: checks[n, name].measured for n, name in checks if name in exact} == exact
+
+
+#: Calls of each shared computation that `verify_theorem(n)` makes, by n.
+_VERIFY_WORK = {
+    1: {"thm1_threshold_scan": 4},
+    2: {"thm2_real_grid_scan": 3},
+    3: {"_thm3_cubic": 3},
+    4: {"thm4_maximize": 1, "thm4_witness_search": 3},
+    5: {"complex_z0_scan": 1},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_runs_each_shared_computation_once_and_only_its_own(monkeypatch, n):
+    # the checks must find these through the module globals when they run, as
+    # a tracer that rebinds them would, and share one result between rows
+    calls = {name: 0 for work in _VERIFY_WORK.values() for name in work}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    assert all(c.passed for c in verify_theorem(n, samples=65_536))
+    assert calls == {**dict.fromkeys(calls, 0), **_VERIFY_WORK[n]}

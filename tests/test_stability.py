@@ -18,8 +18,6 @@ from mcs_adi.stability import (
     stability_function,
     stability_function_quadratic,
     thm5_bound,
-    thm5_f1,
-    thm5_f2,
 )
 
 finite = hst.floats(allow_nan=False, allow_infinity=False)
@@ -269,9 +267,9 @@ def test_lemma2_gap_matches_direct_formula_and_is_nonnegative(theta, a1, b1, a2,
 # ------------------------------------------------------------- thm5 pieces
 
 
-def test_thm5_f1_f2_spot_values():
-    assert thm5_f1(0.5, 1.0, 0.0) == 1.0
-    assert thm5_f2(0.5, 1.0, 0.0) == 2.0
+def test_thm5_bound_spot_value():
+    # e = -1.5: f1 = |1 - 0.75| = 0.25, f2 = |2 - 3| = 1; (0.25 + 0.25 + 1) / 2
+    assert thm5_bound(0.5, 0.5, math.pi) == 0.75
 
 
 def test_thm5_bound_domain():
