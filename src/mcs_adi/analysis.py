@@ -20,9 +20,10 @@ The thmN_* helpers verify the five closed-form thresholds
     1/2   sufficiency on the full cone via a phase-monotone bound,
 
 each against quantities this package computes independently of the scans:
-deterministic grid sweeps, exact floating-point spot values, and for 2/5 and
-5/12 exact certificates -- polynomial identities in rational arithmetic
-(`fractions.Fraction`) that prove the closed form.
+deterministic grid sweeps, exact floating-point spot values, and for 1/4, the
+upper side S <= 1 of 1/3, 2/5 and 5/12 exact certificates -- polynomial
+identities in rational arithmetic that prove the closed form (module
+`certificates`).  The lower side S >= -1 of 1/3 rests on the grid sweeps.
 `verify_theorem` runs them as one table of named pass/fail checks for the CLI.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
@@ -53,7 +54,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -367,76 +367,12 @@ def thm2_real_grid_scan(
 
 
 def thm2_sharp_point(theta: float) -> SpectralPoint:
-    """All-real cone triplet (-2/theta, -1/theta, -1/theta) where |S| = 1."""
+    """All-real cone triplet (-2/theta, -1/theta, -1/theta) of the sharp family.
+
+    There S - 1 = (1 - 3 theta) / (2 theta^2): S = 1 at theta = 1/3 and S > 1
+    below it (153/128 at theta = 0.32).
+    """
     return SpectralPoint(-2.0 / theta, -1.0 / theta, -1.0 / theta)
-
-
-# Exact polynomials: coefficient lists (index = power of the variable) of
-# Fractions; a complex polynomial is a (re, im) pair of them.  `fractions` is
-# imported on use: it loads `decimal` (0.4 MiB), which only the certificates need.
-
-
-def _padd(p, q):
-    """Sum of two polynomials."""
-    return [c + d for c, d in zip_longest(p, q, fillvalue=0)]
-
-
-def _pmul(p, q):
-    """Product of two polynomials."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] += c * d
-    return out
-
-
-def _cadd(u, v):
-    """Sum of two complex polynomials."""
-    return _padd(u[0], v[0]), _padd(u[1], v[1])
-
-
-def _cmul(u, v):
-    """Product of two complex polynomials."""
-    re = _padd(_pmul(u[0], v[0]), _pmul([-1], _pmul(u[1], v[1])))
-    return re, _padd(_pmul(u[0], v[1]), _pmul(u[1], v[0]))
-
-
-def _thm3_family(theta):
-    """Numerator N and denominator D = p^2 of S = N/D on z0 = -2a, z1 = z2 = a(1+i).
-
-    Complex polynomials in a for an exact (Fraction) theta, from the additive
-    form of `stability_function`:
-    N = p^2 + zz p + theta z0 zz + (1/2 - theta) zz^2 with p = (1 - theta a(1+i))^2
-    and zz = z0 + z1 + z2 = 2ia.
-    """
-    one_m = ([1, -theta], [0, -theta])
-    p = _cmul(one_m, one_m)
-    z0, zz = ([0, -2], []), ([], [0, 2])
-    d = _cmul(p, p)
-    tail = _cadd(_cmul(([theta], []), z0), _cmul(([(1 - 2 * theta) / 2], []), zz))
-    return _cadd(_cadd(d, _cmul(zz, p)), _cmul(zz, tail)), d
-
-
-def _thm3_cubic(theta: float) -> tuple[float, bool]:
-    """float(C) and C == 40 theta^2 - 16 theta, C the a^3 coefficient of |N|^2 - |D|^2.
-
-    C is exact at the exact value of theta.  Raises ArithmeticError unless the
-    a^0 .. a^2 coefficients vanish exactly, or when C does not fit a float.
-    """
-    from fractions import Fraction
-
-    t = Fraction(theta)
-    n, d = _thm3_family(t)
-    diff = _padd(_padd(_pmul(n[0], n[0]), _pmul(n[1], n[1])),
-                 _pmul([-1], _padd(_pmul(d[0], d[0]), _pmul(d[1], d[1]))))
-    if any(diff[:3]):
-        raise ArithmeticError(f"|S|^2 - 1 has terms below a^3 at theta = {theta:.17g}")
-    try:
-        return float(diff[3]), diff[3] == 40 * t * t - 16 * t
-    except OverflowError:
-        raise ArithmeticError(
-            f"cubic coefficient at theta = {theta:.17g} is too large for a float"
-        ) from None
 
 
 def thm3_cubic_coefficient(theta: float) -> float:
@@ -447,7 +383,9 @@ def thm3_cubic_coefficient(theta: float) -> float:
     C is computed exactly, from |S|^2 - 1 = (|N|^2 - |D|^2) / |D|^2 with
     |D|^2 = 1 + O(a), and rounded to a float.
     """
-    return _thm3_cubic(theta)[0]
+    from . import certificates  # deferred: see the `certificates` docstring
+
+    return certificates.thm3_cubic(theta)[0]
 
 
 def thm4_ratio(x):
@@ -464,37 +402,15 @@ def thm4_ratio(x):
     return val.item() if val.ndim == 0 else val
 
 
-def _thm4_polynomials():
-    """Numerator and denominator of `thm4_ratio` as exact polynomials in x."""
-    from fractions import Fraction
-
-    p = [1, 1, Fraction(1, 4)]
-    p2 = _pmul(p, p)
-    return _padd([0, 0, 0, 1], _pmul([0, 0, 2], p)), _padd(_pmul(p2, p), _pmul(p2, [0, 1]))
-
-
-def _divide_by_root(p, r):
-    """Quotient and remainder of p(x) / (x - r), by Horner's scheme."""
-    acc, out = 0, []
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
-
-
 def thm4_maximize() -> tuple[float, float]:
     """Maximum of `thm4_ratio` over x >= 0, certified exactly: (2.0, 5/12).
 
-    With num/den the ratio, 5 den - 12 num = (x - 2)^2 Q(x) where Q has only
-    positive coefficients, and den does too, so ratio <= 5/12 on x >= 0 with
-    equality only at x = 2.  Raises ArithmeticError if the identity fails.
+    `certificates.thm4_certify` proves ratio <= 5/12 on x >= 0 with equality
+    only at x = 2; raises ArithmeticError if its identity fails.
     """
-    num, den = _thm4_polynomials()
-    q, r1 = _divide_by_root(_padd(_pmul([5], den), _pmul([-12], num)), 2)
-    q, r2 = _divide_by_root(q, 2)
-    if r1 or r2 or not all(c > 0 for c in q + den):
-        raise ArithmeticError("the 5/12 certificate of the threshold ratio does not hold")
+    from . import certificates  # deferred: see the `certificates` docstring
+
+    certificates.thm4_certify()
     return 2.0, thm4_ratio(2.0)
 
 
@@ -565,16 +481,20 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
     """The checks of `verify` in output order, as (theorem, name, measure, predicate, detail).
 
     A measure takes no argument and returns the measured value; the predicate
-    turns it into pass/fail.  Measures look the scans up among this module's
-    globals when they run, so building the rows runs no scan, and a scan
-    wrapped or replaced after import is the one that runs.  A value that several rows read -- the complex
-    scan, the cubic coefficient at one theta, the ratio maximum -- is computed
-    once per call.
+    turns it into pass/fail.  Measures look the scans and certificates up
+    among this module's globals and in `certificates` when they run, so
+    building the rows runs none, and one wrapped or replaced after import is
+    the one that runs.  A value that several rows read -- the complex scan,
+    the cubic coefficient or the all-real cone certificate at one theta, the
+    ratio maximum -- is computed once per call.
     """
+    from . import certificates as cert  # deferred: see the `certificates` docstring
+
     scan = functools.cache(
         lambda: complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
     )
-    cubic = functools.cache(lambda th: _thm3_cubic(th))
+    cubic = functools.cache(lambda th: cert.thm3_cubic(th))
+    upper = functools.cache(lambda th: cert.thm2_upper(th))
     ratio_max = functools.cache(lambda: thm4_maximize())
     rows = [
         (1, "margin_zero_at_1_4", lambda: imaginary_axis_margin(0.25), lambda m: m == 0.0,
@@ -586,23 +506,27 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
          lambda m: m >= 0.0, "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
         (1, "margin_negative_below_1_4", lambda: imaginary_axis_margin(0.24), lambda m: m < 0.0,
          "criterion margin < 0 at theta = 0.24"),
-        *[(1, f"imaginary_axis_max_at_{tag}",
-           lambda t=t: thm1_threshold_scan(t, threads=threads).max_abs_s,
-           lambda m: m <= 1.0 + 1e-12, f"max |S| over pure-imaginary grid at theta = {t:.6g}")
-          for t, tag in ((0.25, "1_4"), (0.5, "1_2"), (1.0, "1"))],
-        (1, "imaginary_axis_excess_at_0_24",
-         lambda: thm1_threshold_scan(0.24, threads=threads).max_abs_s, lambda m: m >= 1.0 + 1e-4,
-         "max |S| over pure-imaginary grid exceeds 1 at theta = 0.24"),
+        *[(1, f"imaginary_axis_coeff_{tag}", lambda t=t: cert.thm1_coefficient(t),
+           lambda m, t=t: (m < 0.0) == (t < 0.25),
+           f"exact |D|^2 - |N|^2 = c (b1 + b2)^4 on the imaginary axis, "
+           f"c {op} 0 at theta = {t:.6g}")
+          for t, tag, op in ((0.25, "at_1_4", ">="), (0.5, "at_1_2", ">="), (1.0, "at_1", ">="),
+                             (0.24, "negative_at_0_24", "<"))],
         (2, "sharp_point_on_unit_circle",
          lambda: abs(eval_stability_function(1.0 / 3.0, thm2_sharp_point(1.0 / 3.0)) - 1.0),
          lambda m: m <= 1e-14,
          "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
+        *[(2, f"real_cone_upper_bound_at_{t.replace('/', '_')}", lambda t=t: upper(t)[0],
+           lambda m, t=t: upper(t)[1],
+           f"exact D - N factorization and its discriminant prove S <= 1 "
+           f"on the all-real cone at theta = {t}")
+          for t in ("1/3", "1/2")],
         (2, "real_grid_max_at_1_3",
          lambda: thm2_real_grid_scan(1.0 / 3.0, threads=threads).max_abs_s,
          lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/3"),
-        (2, "real_grid_excess_at_0_32",
-         lambda: thm2_real_grid_scan(0.32, threads=threads).max_abs_s,
-         lambda m: m >= 1.15, "max |S| over the all-real cone grid well above 1 at theta = 0.32"),
+        (2, "sharp_point_excess_at_0_32",
+         lambda: cert.exact_real_s(0.32, thm2_sharp_point(0.32)), lambda m: m >= 1.15,
+         "exact S at the boundary triplet well above 1 at theta = 0.32"),
         (2, "real_grid_max_at_1_2",
          lambda: thm2_real_grid_scan(0.5, threads=threads).max_abs_s,
          lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/2"),

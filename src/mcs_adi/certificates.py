@@ -1,0 +1,161 @@
+"""Exact certificates of the stability thresholds, in rational arithmetic.
+
+A polynomial is a list of coefficients (index = power), a complex one a
+(re, im) pair of them.  `mcs_parts` expands S = N/D exactly, and each thmN_*
+certificate proves one polynomial identity, raising ArithmeticError when it
+fails.  `analysis` imports this module only when a certificate runs, so the
+other commands neither compile it nor load `fractions` and `decimal`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product, zip_longest
+
+from .stability import SpectralPoint
+
+
+def _padd(p, q):
+    """Sum of two polynomials."""
+    return [c + d for c, d in zip_longest(p, q, fillvalue=0)]
+
+
+def _pmul(p, q):
+    """Product of two polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _cadd(u, v):
+    """Sum of two complex polynomials."""
+    return _padd(u[0], v[0]), _padd(u[1], v[1])
+
+
+def _psub(p, q):
+    """Difference of two polynomials."""
+    return _padd(p, _pmul([-1], q))
+
+
+def _cmul(u, v):
+    """Product of two complex polynomials."""
+    return _psub(_pmul(u[0], v[0]), _pmul(u[1], v[1])), _padd(_pmul(u[0], v[1]), _pmul(u[1], v[0]))
+
+
+def _abs2(u):
+    """|u|^2 of a complex polynomial u in a real variable."""
+    return _padd(_pmul(u[0], u[0]), _pmul(u[1], u[1]))
+
+
+def mcs_parts(theta, z0, z1, z2):
+    """Numerator N and denominator D = p^2 of S = N/D for complex polynomials z0, z1, z2.
+
+    theta is exact (a Fraction).  From the additive form of `stability_function`:
+    N = p^2 + zz p + theta z0 zz + (1/2 - theta) zz^2 with
+    p = (1 - theta z1)(1 - theta z2) and zz = z0 + z1 + z2.
+    """
+    one, minus = ([1], []), ([-theta], [])
+    p = _cmul(_cadd(one, _cmul(minus, z1)), _cadd(one, _cmul(minus, z2)))
+    zz = _cadd(z0, _cadd(z1, z2))
+    d = _cmul(p, p)
+    tail = _cadd(_cmul(([theta], []), z0), _cmul(([(1 - 2 * theta) / 2], []), zz))
+    return _cadd(_cadd(d, _cmul(zz, p)), _cmul(zz, tail)), d
+
+
+def thm1_coefficient(theta: float) -> float:
+    """float(c), c = (2 theta - 1)^2 (4 theta - 1) / 4, certified on the imaginary axis.
+
+    At z0 = 0, z1 = i b1, z2 = i b2 the identity |D|^2 - |N|^2 = c (b1 + b2)^4
+    holds exactly, so |S| <= 1 for all real b1, b2 iff c >= 0 (theta >= 1/4),
+    and |S| = 1 at theta = 1/2.  Both sides have degree <= 4 in b2, so the
+    identity in b1 at five values of b2 proves it; raises ArithmeticError if not.
+    """
+    t = Fraction(theta)
+    c = (2 * t - 1) ** 2 * (4 * t - 1) / 4
+    for b2 in range(5):
+        n, d = mcs_parts(t, ([], []), ([], [0, 1]), ([], [b2]))
+        b = _pmul([b2, 1], [b2, 1])
+        if any(_psub(_psub(_abs2(d), _abs2(n)), _pmul([c], _pmul(b, b)))):
+            raise ArithmeticError(f"the imaginary-axis identity fails at theta = {theta:.17g}")
+    return float(c)
+
+
+def thm2_upper(theta: float | str) -> tuple[float, bool]:
+    """float(16 (3 theta - 1)(theta - 1)) and whether S <= 1 is proven on the all-real cone.
+
+    theta: a float or an exact string such as "1/3".  On the cone z1 = -u^2,
+    z2 = -v^2, z0 = 2tuv (|t| <= 1), exactly 2 (D - N) = (u^2 + v^2 - 2tuv) *
+    (2tuv + 2 theta^2 u^2 v^2 + (4 theta - 1)(u^2 + v^2) + 2), checked in u at
+    5 x 3 values of (v, t): one more than its degrees in v and t.  The first
+    factor is >= 0; for theta >= 1/4 the second is >= 2 theta^2 w^2 + (8 theta - 4) w + 2,
+    w = |uv|, which is >= 0 if its discriminant (returned) is <= 0 or all its
+    coefficients are positive; with D = p^2 > 0 then S <= 1.  Raises
+    ArithmeticError if the identity fails.
+    """
+    th = Fraction(theta)
+    for v, t in product(range(1, 6), (-1, 0, 1)):
+        n, d = mcs_parts(th, ([0, 2 * t * v], []), ([0, 0, -1], []), ([-v * v], []))
+        second = [2 + (4 * th - 1) * v * v, 2 * t * v, 2 * th * th * v * v + 4 * th - 1]
+        if any(_psub(_pmul([2], _psub(d[0], n[0])), _pmul([v * v, -2 * t * v, 1], second))):
+            raise ArithmeticError(f"the all-real cone identity fails at theta = {theta}")
+    disc = 16 * (3 * th - 1) * (th - 1)
+    return float(disc), 4 * th - 1 >= 0 and (disc <= 0 or 8 * th - 4 > 0)
+
+
+def exact_real_s(theta: float, pt: SpectralPoint) -> float:
+    """S at an all-real triplet, exact at the float inputs and rounded once."""
+    n, d = mcs_parts(Fraction(theta), *(([Fraction(z.real)], []) for z in (pt.z0, pt.z1, pt.z2)))
+    return float(n[0][0] / d[0][0])
+
+
+def thm3_cubic(theta: float) -> tuple[float, bool]:
+    """float(C) and C == 40 theta^2 - 16 theta, C the a^3 coefficient of |N|^2 - |D|^2.
+
+    N and D are `mcs_parts` on the family z0 = -2a, z1 = z2 = a(1+i), and C is
+    exact at the exact value of theta.  Raises ArithmeticError unless the
+    a^0 .. a^2 coefficients vanish exactly, or when C does not fit a float.
+    """
+    t = Fraction(theta)
+    n, d = mcs_parts(t, ([0, -2], []), ([0, 1], [0, 1]), ([0, 1], [0, 1]))
+    diff = _psub(_abs2(n), _abs2(d))
+    if any(diff[:3]):
+        raise ArithmeticError(f"|S|^2 - 1 has terms below a^3 at theta = {theta:.17g}")
+    try:
+        return float(diff[3]), diff[3] == 40 * t * t - 16 * t
+    except OverflowError:
+        raise ArithmeticError(
+            f"cubic coefficient at theta = {theta:.17g} is too large for a float"
+        ) from None
+
+
+def thm4_polynomials():
+    """Numerator and denominator of `analysis.thm4_ratio` as exact polynomials in x."""
+    p = [1, 1, Fraction(1, 4)]
+    p2 = _pmul(p, p)
+    return _padd([0, 0, 0, 1], _pmul([0, 0, 2], p)), _padd(_pmul(p2, p), _pmul(p2, [0, 1]))
+
+
+def _divide_by_root(p, r):
+    """Quotient and remainder of p(x) / (x - r), by Horner's scheme."""
+    acc, out = 0, []
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def thm4_certify() -> None:
+    """Prove that the threshold ratio is <= 5/12 on x >= 0, with equality only at x = 2.
+
+    With num/den the ratio, 5 den - 12 num = (x - 2)^2 Q(x) where Q has only
+    positive coefficients, and den does too.  Raises ArithmeticError if the
+    identity fails.
+    """
+    num, den = thm4_polynomials()
+    q, r1 = _divide_by_root(_psub(_pmul([5], den), _pmul([12], num)), 2)
+    q, r2 = _divide_by_root(q, 2)
+    if r1 or r2 or not all(c > 0 for c in q + den):
+        raise ArithmeticError("the 5/12 certificate of the threshold ratio does not hold")

@@ -1,6 +1,9 @@
+import inspect
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from mcs_adi import analysis
+from mcs_adi import analysis, certificates
+from mcs_adi.cli import main
 from mcs_adi.analysis import (
     BLOCK_SAMPLES,
     CheckResult,
@@ -305,6 +309,109 @@ def test_real_cone_scan_blows_up_below_third():
     assert abs(s - r.max_abs_s) <= 1e-12 * r.max_abs_s
 
 
+def _c1(theta):
+    t = Fraction(theta)
+    return (2 * t - 1) ** 2 * (4 * t - 1) / 4
+
+
+def _exact_abs2(theta, pt):
+    # |N|^2 and |D|^2 of S = N/D, exact at the float inputs
+    n, d = certificates.mcs_parts(
+        Fraction(theta), *(([Fraction(z.real)], [Fraction(z.imag)]) for z in (pt.z0, pt.z1, pt.z2))
+    )
+    return sum(certificates._abs2(n)), sum(certificates._abs2(d))
+
+
+@pytest.mark.parametrize("theta", [0.24, 0.3, 1.0 / 3.0, 0.5])
+@pytest.mark.parametrize(
+    "pt",
+    [SpectralPoint(0.0, 0.7j, -2.5j), SpectralPoint(-1.5, -0.5 + 0.25j, -3.0 - 1j),
+     SpectralPoint(0.8 - 0.3j, -1.25 + 2j, -0.75 - 0.5j)],
+)
+def test_certificate_polynomials_match_stability_function(theta, pt):
+    # the exact N and D that every certificate expands are the numerator and
+    # denominator of the float evaluator's S
+    n2, d2 = _exact_abs2(theta, pt)
+    s = complex(stability_function(theta, pt.z0, pt.z1, pt.z2))
+    assert float(n2 / d2) == pytest.approx(abs(s) ** 2, rel=1e-13)
+
+
+def test_imaginary_axis_scan_witness_obeys_the_exact_identity():
+    theta = 0.24
+    wit = thm1_threshold_scan(theta).witness
+    n2, d2 = _exact_abs2(theta, wit)
+    assert n2 - d2 == -_c1(theta) * (Fraction(wit.z1.imag) + Fraction(wit.z2.imag)) ** 4
+    s = abs(complex(stability_function(theta, wit.z0, wit.z1, wit.z2)))
+    assert float(n2 / d2) == pytest.approx(s * s, rel=1e-12)
+
+
+def test_real_cone_scan_witness_sits_on_the_sharp_family():
+    # z1 = z2 and t = -1, so z0 = z1 + z2; its |S| approaches the exact S at the sharp point
+    r = thm2_real_grid_scan(0.32)
+    wit = r.witness
+    assert wit.z1 == wit.z2 and wit.z0 == wit.z1 + wit.z2
+    assert certificates.exact_real_s(0.32, thm2_sharp_point(0.32)) == 153 / 128
+    assert abs(r.max_abs_s - 153 / 128) <= 2e-4
+
+
+@given(hst.floats(min_value=1e-6, max_value=1e6))
+@settings(deadline=None, max_examples=25)
+def test_imaginary_axis_certificate_is_the_rounded_closed_form(theta):
+    assert certificates.thm1_coefficient(theta) == float(_c1(theta))
+
+
+@pytest.mark.parametrize(
+    "theta, disc, proven",
+    [("1/4", 3.0, False), ("0.32", 0.4352, False), (1.0 / 3.0, 5.921189464667502e-16, False),
+     ("1/3", 0.0, True), ("1/2", -4.0, True), ("1", 0.0, True), ("2", 80.0, True)],
+)
+def test_all_real_cone_certificate_proves_s_at_most_1_from_one_third(theta, disc, proven):
+    # the float 1/3 lies just below 1/3, where the bound does not hold on the family
+    assert certificates.thm2_upper(theta) == (disc, proven)
+
+
+def test_certificates_load_only_when_a_certificate_runs():
+    # every command imports `analysis`; compiling the certificates and loading
+    # `decimal` with `fractions` is left to the commands that prove something
+    code = ("import sys; from mcs_adi.cli import main; main(['verify', '--help']); "
+            "print(*(m in sys.modules for m in ('mcs_adi.certificates', 'fractions', 'decimal')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-1] == "False False False"
+
+
+def _mutant(fn, old, new):
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1
+    namespace = dict(vars(certificates))
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("_cmul(minus, z1)", "_cmul(([-theta * (1 + Fraction(1, 1 << 40))], []), z1)"),
+     ("_cadd(d, _cmul(zz, p))", "d")],
+    ids=["theta_perturbed_in_one_factor", "zz_p_term_dropped"],
+)
+def test_a_wrong_p_breaks_both_certificates(monkeypatch, capsys, old, new):
+    monkeypatch.setattr(certificates, "mcs_parts", _mutant(certificates.mcs_parts, old, new))
+    # not 1/2: there z0 = 0 and 1/2 - theta = 0 leave N = p^2 = D with the zz p term dropped
+    for theta in (0.25, 1.0, 0.24):
+        with pytest.raises(ArithmeticError, match="imaginary-axis identity fails"):
+            certificates.thm1_coefficient(theta)
+    for theta in ("1/3", "1/2"):
+        with pytest.raises(ArithmeticError, match="all-real cone identity fails"):
+            certificates.thm2_upper(theta)
+    assert main(["verify", "--theorem", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "numerical breakdown: the imaginary-axis identity fails at theta = 0.25"
+    ]
+
+
 def _serial_first_max(batches):
     # Reference fold: each batch's first maximum in row-major order, kept
     # only when strictly larger than every earlier batch's.
@@ -422,7 +529,8 @@ def _horner(coeffs, x):
 def test_cubic_certificate_polynomials_match_stability_function(theta, a):
     # the exact N and D behind the certificate are the numerator and
     # denominator of the float evaluator's S on the family z0 = -2a, z1 = z2 = a(1+i)
-    n, d = analysis._thm3_family(Fraction(theta))
+    a1i = ([0, 1], [0, 1])
+    n, d = certificates.mcs_parts(Fraction(theta), ([0, -2], []), a1i, a1i)
     fa = Fraction(a)
     abs2 = [_horner(u[0], fa) ** 2 + _horner(u[1], fa) ** 2 for u in (n, d)]
     s = complex(stability_function(theta, -2.0 * a, a * (1 + 1j), a * (1 + 1j)))
@@ -445,7 +553,7 @@ def test_threshold_ratio_maximum():
 
 
 def test_ratio_certificate_polynomials_match_threshold_ratio():
-    num, den = analysis._thm4_polynomials()
+    num, den = certificates.thm4_polynomials()
     for x in (0.0, 0.3, 1.0, 1.9, 2.0, 2.5, 7.0, 40.0, 1e3):
         got = _horner([float(c) for c in num], x) / _horner([float(c) for c in den], x)
         assert got == pytest.approx(thm4_ratio(x), rel=1e-14, abs=1e-300)
@@ -520,16 +628,19 @@ _VERIFY_ROWS = [
     (1, "margin_zero_at_1_2", "criterion margin vanishes exactly at theta = 1/2"),
     (1, "margin_nonnegative_above_1_4", "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
     (1, "margin_negative_below_1_4", "criterion margin < 0 at theta = 0.24"),
-    (1, "imaginary_axis_max_at_1_4", "max |S| over pure-imaginary grid at theta = 0.25"),
-    (1, "imaginary_axis_max_at_1_2", "max |S| over pure-imaginary grid at theta = 0.5"),
-    (1, "imaginary_axis_max_at_1", "max |S| over pure-imaginary grid at theta = 1"),
-    (1, "imaginary_axis_excess_at_0_24",
-     "max |S| over pure-imaginary grid exceeds 1 at theta = 0.24"),
+    *[(1, f"imaginary_axis_coeff_{tag}",
+       f"exact |D|^2 - |N|^2 = c (b1 + b2)^4 on the imaginary axis, c {op} 0 at theta = {t}")
+      for tag, op, t in (("at_1_4", ">=", "0.25"), ("at_1_2", ">=", "0.5"), ("at_1", ">=", "1"),
+                         ("negative_at_0_24", "<", "0.24"))],
     (2, "sharp_point_on_unit_circle",
      "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
+    *[(2, f"real_cone_upper_bound_at_{tag}",
+       f"exact D - N factorization and its discriminant prove S <= 1 "
+       f"on the all-real cone at theta = {t}")
+      for tag, t in (("1_3", "1/3"), ("1_2", "1/2"))],
     (2, "real_grid_max_at_1_3", "max |S| over the all-real cone grid at theta = 1/3"),
-    (2, "real_grid_excess_at_0_32",
-     "max |S| over the all-real cone grid well above 1 at theta = 0.32"),
+    (2, "sharp_point_excess_at_0_32",
+     "exact S at the boundary triplet well above 1 at theta = 0.32"),
     (2, "real_grid_max_at_1_2", "max |S| over the all-real cone grid at theta = 1/2"),
     (3, "cubic_coefficient_at_0_38", "exact coefficient vs closed form -0.304"),
     (3, "error_term_negative_at_0_38",
@@ -561,6 +672,13 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
         "margin_zero_at_1_4": 0.0,
         "margin_zero_at_1_2": 0.0,
         "margin_negative_below_1_4": -0.020000000000000004,
+        "imaginary_axis_coeff_at_1_4": 0.0,
+        "imaginary_axis_coeff_at_1_2": 0.0,
+        "imaginary_axis_coeff_at_1": 0.75,
+        "imaginary_axis_coeff_negative_at_0_24": float(_c1(0.24)),
+        "real_cone_upper_bound_at_1_3": 0.0,
+        "real_cone_upper_bound_at_1_2": -4.0,
+        "sharp_point_excess_at_0_32": 1.1953125,
         "ratio_argmax_at_2": 2.0,
         "ratio_max_is_5_12": 5.0 / 12.0,
         "ratio_at_2_exact": 5.0 / 12.0,
@@ -570,9 +688,9 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
 
 #: Calls of each shared computation that `verify_theorem(n)` makes, by n.
 _VERIFY_WORK = {
-    1: {"thm1_threshold_scan": 4},
-    2: {"thm2_real_grid_scan": 3},
-    3: {"_thm3_cubic": 3},
+    1: {"thm1_threshold_scan": 0, "certificates.thm1_coefficient": 4},
+    2: {"thm2_real_grid_scan": 2, "certificates.thm2_upper": 2},
+    3: {"certificates.thm3_cubic": 3},
     4: {"thm4_maximize": 1, "thm4_witness_search": 3},
     5: {"complex_z0_scan": 1},
 }
@@ -581,7 +699,8 @@ _VERIFY_WORK = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_runs_each_shared_computation_once_and_only_its_own(monkeypatch, n):
     # the checks must find these through the module globals when they run, as
-    # a tracer that rebinds them would, and share one result between rows
+    # a tracer that rebinds them would, and share one result between rows;
+    # a dotted name lives in that module, any other in `analysis`
     calls = {name: 0 for work in _VERIFY_WORK.values() for name in work}
 
     def counting(name, fn):
@@ -591,6 +710,8 @@ def test_verify_runs_each_shared_computation_once_and_only_its_own(monkeypatch, 
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+        module, _, attr = name.rpartition(".")
+        module = certificates if module else analysis
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
     assert all(c.passed for c in verify_theorem(n, samples=65_536))
     assert calls == {**dict.fromkeys(calls, 0), **_VERIFY_WORK[n]}
