@@ -22,8 +22,13 @@ direction, so a real FFT along the axis, a division by the eigenvalues and
 the inverse FFT solve every grid line at once.  Each SplitOperators caches
 the eigenvalues of a stage matrix per (direction, theta*dt) once they have
 passed the singularity check; a singular stage matrix is never cached and
-raises SingularSystemError on every call.  Every solve is verified a
-posteriori by its normwise backward error in physical space.
+raises SingularSystemError on every call.  For solve lengths up to
+_DENSE_MAX the cache also holds the dense inverse of the stage matrix, made
+once by that same FFT solve on the identity, and a solve is one matrix
+product with it (O(n) flops per point against O(log n) for the FFTs, so
+above _DENSE_MAX the FFT round trip is faster).
+Every solve is verified a posteriori by its normwise backward error in
+physical space.
 
 Periodic shifts are slice updates, not rolled copies of the field: a +-1
 shift along one axis adds the interior slice and the wrap row (or column)
@@ -31,8 +36,9 @@ separately, and the mixed stencil reads its nine neighbours from one halo
 copy of the field of shape (m1 + 2, m2 + 2).  Every sum is formed in the
 same order as with rolled copies, so the results are bit-identical to them.
 
-A step allocates only the arrays of its FFTs, the last of which it returns,
-and the finiteness masks of `validate_field`.  Each thread that steps with a
+A step allocates only the arrays of its solves (one matrix product result,
+or the arrays of an FFT round trip), the last of which it returns, and the
+finiteness masks of `validate_field`.  Each thread that steps with a
 SplitOperators gets its own workspace of float64 grid fields and the halo,
 built on its first use (building the operators stays cheap), and every stage
 value, stencil product and solve residual is written there by ufunc `out=`
@@ -61,6 +67,12 @@ from .stability import DomainError, SchemeParams, SpectralPoint, eval_stability_
 
 #: Relative tolerance of the normwise backward-error check of solve_directional.
 _RESIDUAL_RTOL = 1e-10
+
+#: Longest solve length whose stage matrix is inverted densely and applied by matmul.
+_DENSE_MAX = 256
+
+#: (m_sub, m_diag, m_sup, lam, inv) of one cached stage matrix; see SplitOperators._stage.
+_Stage = tuple[float, float, float, np.ndarray, np.ndarray | None]
 
 
 class SingularSystemError(ArithmeticError):
@@ -108,7 +120,7 @@ class SplitOperators:
         stencil = (self.x_sub, self.x_diag, self.x_sup, self.y_sub, self.y_diag, self.y_sup)
         if not all(map(math.isfinite, stencil + tuple(self.mixed_weights.values()))):
             raise DomainError("stencil coefficients overflow (d/dx^2, c/dx or d12/(dx dy))")
-        self._stages: dict[tuple[int, float], tuple[float, float, float, np.ndarray]] = {}
+        self._stages: dict[tuple[int, float], _Stage] = {}
         self._local = threading.local()
 
     def _workspace(self) -> _Workspace:
@@ -126,13 +138,15 @@ class SplitOperators:
             return (self.y_sub, self.y_diag, self.y_sup, self.grid.m2)
         raise DomainError(f"implicit direction must be 1 or 2, got {j}")
 
-    def _stage(self, j: int, theta_dt: float) -> tuple[float, float, float, np.ndarray]:
-        """(m_sub, m_diag, m_sup, lam) of the stage matrix M = I - theta_dt * A_j.
+    def _stage(self, j: int, theta_dt: float) -> _Stage:
+        """(m_sub, m_diag, m_sup, lam, inv) of the stage matrix M = I - theta_dt * A_j.
 
         lam holds the half-spectrum eigenvalues of M, shaped to divide an rfft
         along axis j - 1.  Raises SingularSystemError when min|lam_k| <= n eps
         max|lam_k|.  Only stages that passed this check are cached, so a
-        singular key raises on every call.
+        singular key raises on every call.  For n <= _DENSE_MAX, inv is the
+        real matrix with x = inv @ rhs (j = 1) or x = rhs @ inv (j = 2), i.e.
+        M^-1 or its transpose; otherwise it is None.
         """
         stage = self._stages.get((j, theta_dt))
         if stage is not None:
@@ -147,7 +161,11 @@ class SplitOperators:
                 f"direction {j} system with theta*dt = {theta_dt!r} is singular "
                 f"(min |eigenvalue| {mag.min():.3e}, max {mag.max():.3e})"
             )
-        stage = (m_sub, m_diag, m_sup, lam[:, None] if j == 1 else lam)
+        lam = lam[:, None] if j == 1 else lam
+        inv = None
+        if n <= _DENSE_MAX:
+            inv = np.fft.irfft(np.fft.rfft(np.eye(n), axis=j - 1) / lam, n=n, axis=j - 1)
+        stage = (m_sub, m_diag, m_sup, lam, inv)
         self._stages[(j, theta_dt)] = stage
         return stage
 
@@ -201,7 +219,7 @@ def validate_field(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     if u.shape != grid.shape:
         raise DomainError(f"field shape {u.shape} does not match grid {grid.shape}")
-    if not np.issubdtype(u.dtype, np.floating):
+    if u.dtype.kind != "f":
         raise DomainError(f"field must be a real float array, got dtype {u.dtype}")
     if not np.isfinite(u).all():
         raise DomainError("field contains non-finite entries")
@@ -247,7 +265,8 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     along axis j - 1, so Fourier mode k of n is an eigenvector of M with
     eigenvalue lam_k = m_diag + (m_sub + m_sup) cos(phi_k) + i (m_sup - m_sub)
     sin(phi_k), phi_k = 2 pi k / n.  All grid lines are solved at once by
-    rfft, division by lam_k and irfft.  A diagonal M (e.g. theta_dt = 0)
+    rfft, division by lam_k and irfft, or, for n <= _DENSE_MAX, by one
+    product with the cached inverse of M.  A diagonal M (e.g. theta_dt = 0)
     returns rhs / m_diag exactly.
 
     SingularSystemError is raised whenever min|lam_k| <= n eps max|lam_k|,
@@ -257,13 +276,16 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.
     """
     rhs = validate_field(ops.grid, rhs)
-    m_sub, m_diag, m_sup, lam = ops._stage(j, theta_dt)
+    m_sub, m_diag, m_sup, lam, inv = ops._stage(j, theta_dt)
     if m_sub == 0.0 and m_sup == 0.0:
         return rhs / m_diag
     axis = j - 1
-    xh = np.fft.rfft(rhs, axis=axis)
-    xh /= lam
-    x = np.fft.irfft(xh, n=rhs.shape[axis], axis=axis)
+    if inv is not None:
+        x = inv @ rhs if j == 1 else rhs @ inv
+    else:
+        xh = np.fft.rfft(rhs, axis=axis)
+        xh /= lam
+        x = np.fft.irfft(xh, n=rhs.shape[axis], axis=axis)
     ws = ops._workspace()
     r, tmp = ws.res, ws.tmp
     np.multiply(m_diag, x, out=r)
@@ -312,7 +334,7 @@ def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray) -> np.nda
     np.add(a0dy, apply_split_operator(ops, 1, dy, out=aux), out=a0dy)
     np.add(a0dy, apply_split_operator(ops, 2, dy, out=aux), out=a0dy)
     np.add(y0, np.multiply((0.5 - theta) * dt, a0dy, out=a0dy), out=y0)  # Yt0
-    del dy  # freed before the solves allocate their FFT arrays
+    del dy  # freed before the solves allocate their arrays
     rhs = np.subtract(solve_directional(ops, 1, td, np.subtract(y0, ws.a1, out=y0)), ws.a2,
                       out=ws.rhs)
     return solve_directional(ops, 2, td, rhs)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mcs_adi.solver import (
+    _DENSE_MAX,
     ManufacturedProblem,
     SingularSystemError,
     apply_split_operator,
@@ -147,6 +148,21 @@ def test_field_validation():
         validate_field(GRID, bad)
 
 
+@pytest.mark.parametrize(
+    "dtype, accepted",
+    [(np.float16, True), (np.float32, True), (np.float64, True),
+     (np.int64, False), (bool, False), (np.complex128, False), (object, False)],
+    ids=lambda v: v if isinstance(v, bool) else np.dtype(v).name,
+)
+def test_validate_field_accepts_real_float_dtypes_only(dtype, accepted):
+    u = np.zeros(GRID.shape, dtype=dtype)
+    if accepted:
+        assert validate_field(GRID, u) is u
+    else:
+        with pytest.raises(DomainError, match="real float"):
+            validate_field(GRID, u)
+
+
 # ---------------------------------------------------------- directional solves
 
 
@@ -208,16 +224,50 @@ def test_solve_directional_matches_dense_solve(j, grid, td, tol):
 
 
 def test_residual_guard_rejects_perturbed_solution(monkeypatch):
-    ops = build_split_operators(COEFFS, GRID)
-    rhs = np.random.Generator(np.random.Philox(key=17)).standard_normal(GRID.shape)
-    for j in (1, 2):  # the unperturbed solves pass the guard
-        x = solve_directional(ops, j, 0.11, rhs)
-        assert float(np.max(np.abs(x - 0.11 * apply_split_operator(ops, j, x) - rhs))) <= 1e-12
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * (1.0 + 1e-6))
-    for j in (1, 2):
-        with pytest.raises(SingularSystemError, match="backward-error"):
-            solve_directional(ops, j, 0.11, rhs)
+    # GRID solves by the cached dense inverses, the larger grid by FFTs
+    big = GridSpec(m1=_DENSE_MAX + 1, m2=_DENSE_MAX + 3, dx=0.2, dy=0.25, beta=-0.5)
+    for grid in (GRID, big):
+        ops = build_split_operators(COEFFS, grid)
+        rhs = np.random.Generator(np.random.Philox(key=17)).standard_normal(grid.shape)
+        for j in (1, 2):  # the unperturbed solves pass the guard
+            x = solve_directional(ops, j, 0.11, rhs)
+            assert float(np.max(np.abs(x - 0.11 * apply_split_operator(ops, j, x) - rhs))) <= 1e-12
+        with monkeypatch.context() as patch:
+            if grid is GRID:
+                for key, (m_sub, m_diag, m_sup, lam, inv) in list(ops._stages.items()):
+                    patch.setitem(ops._stages, key, (m_sub, m_diag, m_sup, lam, inv * (1.0 + 1e-6)))
+            else:
+                irfft = np.fft.irfft
+                patch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * (1.0 + 1e-6))
+            for j in (1, 2):
+                with pytest.raises(SingularSystemError, match="backward-error"):
+                    solve_directional(ops, j, 0.11, rhs)
+
+
+@pytest.mark.parametrize("n", [3, 16, _DENSE_MAX, _DENSE_MAX + 1])
+@pytest.mark.parametrize("j", [1, 2])
+def test_dense_and_fft_solves_agree(j, n):
+    # random PSD problems; the solver takes the dense path iff n <= _DENSE_MAX,
+    # and both formulas are checked against it.  Measured worst: 2.2e-15.
+    rng = np.random.Generator(np.random.Philox(key=37 + n))
+    axis = j - 1
+    for _ in range(12):
+        d11, d22 = rng.uniform(0.0, 1.0, 2)
+        c1, c2 = rng.uniform(-1.0, 1.0, 2)
+        shape = (n, 6) if j == 1 else (6, n)
+        grid = GridSpec(m1=shape[0], m2=shape[1], dx=1.0 / shape[0], dy=1.0 / shape[1])
+        ops = build_split_operators(PdeCoefficients(c1=c1, c2=c2, d11=d11, d22=d22), grid)
+        td = 10.0 ** rng.uniform(-5.0, -1.0)
+        rhs = rng.standard_normal(shape)
+        x = solve_directional(ops, j, td, rhs)
+        lam, cached = ops._stage(j, td)[3:]
+        assert (cached is None) == (n > _DENSE_MAX)
+        fft = np.fft.irfft(np.fft.rfft(rhs, axis=axis) / lam, n=n, axis=axis)
+        inv = np.fft.irfft(np.fft.rfft(np.eye(n), axis=axis) / lam, n=n, axis=axis)
+        dense = inv @ rhs if j == 1 else rhs @ inv
+        scale = float(np.max(np.abs(fft)))
+        assert float(np.max(np.abs(x - fft))) <= 1e-13 * scale
+        assert float(np.max(np.abs(x - dense))) <= 1e-13 * scale
 
 
 def test_stage_eigenvalue_cache_is_keyed_by_direction_and_theta_dt():
@@ -282,7 +332,10 @@ def _step_reference(scheme, ops, params, u):
 @pytest.mark.parametrize("scheme", ["mcs", "douglas"])
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize(
-    "shape", [(3, 3), (3, 4), (3, 5), (8, 6), (64, 48)], ids=lambda s: f"{s[0]}x{s[1]}"
+    "shape",
+    # the last two solve one direction by FFT, the others both by dense inverses
+    [(3, 3), (3, 4), (3, 5), (8, 6), (64, 48), (_DENSE_MAX + 4, 6), (6, _DENSE_MAX + 4)],
+    ids=lambda s: f"{s[0]}x{s[1]}",
 )
 def test_step_matches_allocating_stage_expressions_bitwise(shape, beta, scheme):
     grid = GridSpec(m1=shape[0], m2=shape[1], dx=0.2, dy=0.25, beta=beta)
@@ -296,19 +349,25 @@ def test_step_matches_allocating_stage_expressions_bitwise(shape, beta, scheme):
             assert np.array_equal(u, want)
 
 
-def _fft_round_trip_peak(u):
-    # what the step may not avoid: one rfft/irfft pair along the strided axis
+def _solve_core_peak(u):
+    # what the step may not avoid: one product with a cached inverse, or one
+    # rfft/irfft pair along the strided axis
+    inv = np.eye(u.shape[0])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        np.fft.irfft(np.fft.rfft(u, axis=0), n=u.shape[0], axis=0)
+        if u.shape[0] <= _DENSE_MAX:
+            inv @ u
+        else:
+            np.fft.irfft(np.fft.rfft(u, axis=0), n=u.shape[0], axis=0)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
 
 
-def test_warm_step_allocates_only_its_fft_arrays():
-    grid = GridSpec(m1=128, m2=128, dx=1.0 / 128, dy=1.0 / 128, beta=0.5)
+@pytest.mark.parametrize("n", [128, _DENSE_MAX + 4], ids=["dense", "fft"])
+def test_warm_step_allocates_only_its_solve_arrays(n):
+    grid = GridSpec(m1=n, m2=n, dx=1.0 / n, dy=1.0 / n, beta=0.5)
     ops = build_split_operators(COEFFS, grid)
     params = SchemeParams(1.0 / 3.0, 1e-3)
     u = step_mcs(ops, params, np.random.Generator(np.random.Philox(key=29)).standard_normal(grid.shape))
@@ -319,9 +378,10 @@ def test_warm_step_allocates_only_its_fft_arrays():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # with numpy 2 the FFT pair peaks at about 2 fields, so the bound is about
-    # 4 fields; the step with its temporaries allocated peaked at about 15
-    assert peak < _fft_round_trip_peak(u) + 2 * u.nbytes
+    # the product allocates 1 field and, with numpy 2, the FFT pair about 2, so
+    # the bound is about 3 or 4 fields; the step peaked at 2.5 (dense, 128^2)
+    # and 2.4 (FFT); with its temporaries allocated it peaked at about 15
+    assert peak < _solve_core_peak(u) + 2 * u.nbytes
 
 
 def test_threads_sharing_operators_step_like_serial_runs():
