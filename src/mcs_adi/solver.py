@@ -18,35 +18,52 @@ step with parameter theta advances U by
 
 and the Douglas step is the first three lines alone.  The implicit stages
 are constant-coefficient cyclic tridiagonal systems, circulant along their
-direction, so a real FFT along the axis, a division by the eigenvalues and
-the inverse FFT solve every grid line at once.  Each SplitOperators caches
-the eigenvalues of a stage matrix per (direction, theta*dt) once they have
-passed the singularity check; a singular stage matrix is never cached and
-raises SingularSystemError on every call.  For solve lengths up to
-_DENSE_MAX the cache also holds the dense inverse of the stage matrix, made
-once by that same FFT solve on the identity, and a solve is one matrix
-product with it (O(n) flops per point against O(log n) for the FFTs, so
-above _DENSE_MAX the FFT round trip is faster).
+direction, so an FFT along the axis, a product with the reciprocal
+eigenvalues 1/lam_k and the inverse FFT solve every grid line at once.  Each
+SplitOperators checks the eigenvalues of a stage matrix for singularity and
+then caches what its solves need per (direction, theta*dt); a singular stage
+matrix is never cached and raises SingularSystemError on every call.  For
+solve lengths up to _DENSE_MAX that is the dense inverse of the stage
+matrix, made once by the FFT solve of the identity, and a solve is one
+matrix product with it (O(n) flops per point against O(log n) for the FFTs,
+so above _DENSE_MAX the FFT round trip is faster).  Above it the cache holds
+1/lam_k, as a multiply is cheaper than a complex division: the half spectrum
+for the y-solve, an rfft/irfft pair along the contiguous axis 1, and the
+full spectrum for the x-solve.  As the stage matrix M is real, the x-solve
+takes each pair of adjacent columns as one complex column,
+M^-1 (u_2l + i u_2l+1) = M^-1 u_2l + i M^-1 u_2l+1, and runs a complex
+fft/ifft pair along axis 0 of the complex128 view of the field, of shape
+(m1, m2 / 2), which costs less than an rfft/irfft pair along the strided
+axis 0.  A right-hand side that is not a C-ordered float64 field of even
+width is first copied into a zero-padded workspace array, so the FFTs
+always run in double precision.
 Every solve is verified a posteriori by its normwise backward error in
 physical space.
 
 Periodic shifts are slice updates, not rolled copies of the field: a +-1
 shift along one axis adds the interior slice and the wrap row (or column)
-separately, and the mixed stencil reads its nine neighbours from one halo
-copy of the field of shape (m1 + 2, m2 + 2).  Every sum is formed in the
-same order as with rolled copies, so the results are bit-identical to them.
+separately.  The mixed stencil reads its nine neighbours as views of one
+halo copy of the field of shape (m1 + 2, m2 + 2) and adds the neighbours
+that share a weight before multiplying, so A0 is four weighted sums
+w++ (h++ + h--) + w-+ (h-+ + h+-) + we ((h+0 + h-0) + h0+ + h0-) + wc h00,
+with a group of weight zero left out.  Every sum is formed in the same
+order as with rolled copies, so the results are bit-identical to them.
 
-A step allocates only the arrays of its solves (one matrix product result,
-or the arrays of an FFT round trip), the last of which it returns, and the
-finiteness masks of `validate_field`.  Each thread that steps with a
-SplitOperators gets its own workspace of float64 grid fields and the halo,
-built on its first use (building the operators stays cheap), and every stage
-value, stencil product and solve residual is written there by ufunc `out=`
-calls.  The stages are formed in the order of the formulas above, with a
-product such as theta dt A1 U computed once for predictor and corrector;
-only operands of the IEEE-commutative `+` and `*` may swap places, so a step
-is bit-identical to the plain array expressions.  A returned field is never
-a workspace array: two step results can be kept side by side.
+A step allocates the arrays of its solves (one matrix product result, or
+the arrays of an FFT round trip), the last of which it returns, and the
+finiteness masks of `validate_field`.  numpy's buffered iterator adds
+scratch of up to 192 KiB per call for the in-place adds of a shift along
+axis 1, whose transposed operands it copies in blocks (1.5 fields at 128^2
+under tracemalloc, against 0.002 along axis 0).  Each thread that steps
+with a SplitOperators gets its own workspace of float64 grid fields and the
+halo, built on its first use (building the operators stays cheap), and
+every stage value, stencil product and solve residual is written there by
+ufunc `out=` calls.  The stages are formed in the order of the formulas
+above, with a product such as theta dt A1 U computed once for predictor and
+corrector; only operands of the IEEE-commutative `+` and `*` may swap
+places, so a step is bit-identical to the plain array expressions.  A
+returned field is never a workspace array: two step results can be kept side
+by side.
 
 `mode_amplification` closes the loop with the Fourier analysis: it runs the
 actual stepper on a cosine/sine mode pair and projects out the complex
@@ -71,8 +88,8 @@ _RESIDUAL_RTOL = 1e-10
 #: Longest solve length whose stage matrix is inverted densely and applied by matmul.
 _DENSE_MAX = 256
 
-#: (m_sub, m_diag, m_sup, lam, inv) of one cached stage matrix; see SplitOperators._stage.
-_Stage = tuple[float, float, float, np.ndarray, np.ndarray | None]
+#: (m_sub, m_diag, m_sup, rlam, inv) of one cached stage matrix; see SplitOperators._stage.
+_Stage = tuple[float, float, float, np.ndarray | None, np.ndarray | None]
 
 
 class SingularSystemError(ArithmeticError):
@@ -120,6 +137,15 @@ class SplitOperators:
         stencil = (self.x_sub, self.x_diag, self.x_sup, self.y_sub, self.y_diag, self.y_sup)
         if not all(map(math.isfinite, stencil + tuple(self.mixed_weights.values()))):
             raise DomainError("stencil coefficients overflow (d/dx^2, c/dx or d12/(dx dy))")
+        # A0 as weighted sums of the offsets that share a weight; beta = 0 drops
+        # the centre and edges, beta = +-1 one diagonal pair
+        w = self.mixed_weights
+        self._mixed_groups = tuple((weight, offsets) for weight, offsets in (
+            (w[1, 1], ((1, 1), (-1, -1))),
+            (w[-1, 1], ((-1, 1), (1, -1))),
+            (w[1, 0], ((1, 0), (-1, 0), (0, 1), (0, -1))),
+            (w[0, 0], ((0, 0),)),
+        ) if weight != 0.0)
         self._stages: dict[tuple[int, float], _Stage] = {}
         self._local = threading.local()
 
@@ -127,7 +153,7 @@ class SplitOperators:
         """This thread's step workspace, built on the first call."""
         ws = getattr(self._local, "ws", None)
         if ws is None:
-            ws = self._local.ws = _Workspace(self.grid.shape)
+            ws = self._local.ws = _Workspace(self.grid.shape, self._mixed_groups)
         return ws
 
     def directional_stencil(self, j: int) -> tuple[float, float, float, int]:
@@ -139,14 +165,17 @@ class SplitOperators:
         raise DomainError(f"implicit direction must be 1 or 2, got {j}")
 
     def _stage(self, j: int, theta_dt: float) -> _Stage:
-        """(m_sub, m_diag, m_sup, lam, inv) of the stage matrix M = I - theta_dt * A_j.
+        """(m_sub, m_diag, m_sup, rlam, inv) of the stage matrix M = I - theta_dt * A_j.
 
-        lam holds the half-spectrum eigenvalues of M, shaped to divide an rfft
-        along axis j - 1.  Raises SingularSystemError when min|lam_k| <= n eps
-        max|lam_k|.  Only stages that passed this check are cached, so a
-        singular key raises on every call.  For n <= _DENSE_MAX, inv is the
-        real matrix with x = inv @ rhs (j = 1) or x = rhs @ inv (j = 2), i.e.
-        M^-1 or its transpose; otherwise it is None.
+        Raises SingularSystemError when the eigenvalues lam_k of M have
+        min|lam_k| <= n eps max|lam_k|.  Only stages that passed this check
+        are cached, so a singular key raises on every call.  For
+        n <= _DENSE_MAX, inv is the real matrix with x = inv @ rhs (j = 1) or
+        x = rhs @ inv (j = 2), i.e. M^-1 or its transpose, and rlam is None.
+        Otherwise inv is None and rlam holds 1/lam_k in the layout its FFT
+        path multiplies by: the full spectrum, shape (n, 1), for the fft of
+        the x-solve, and the half spectrum, shape (n // 2 + 1,), for the rfft
+        of the y-solve.
         """
         stage = self._stages.get((j, theta_dt))
         if stage is not None:
@@ -161,11 +190,15 @@ class SplitOperators:
                 f"direction {j} system with theta*dt = {theta_dt!r} is singular "
                 f"(min |eigenvalue| {mag.min():.3e}, max {mag.max():.3e})"
             )
-        lam = lam[:, None] if j == 1 else lam
-        inv = None
+        rlam = inv = None
         if n <= _DENSE_MAX:
+            lam = lam[:, None] if j == 1 else lam
             inv = np.fft.irfft(np.fft.rfft(np.eye(n), axis=j - 1) / lam, n=n, axis=j - 1)
-        stage = (m_sub, m_diag, m_sup, lam, inv)
+        else:
+            rlam = 1.0 / lam
+            if j == 1:  # lam_{n-k} = conj(lam_k) completes the spectrum of a real M
+                rlam = np.concatenate([rlam, rlam[1 : (n + 1) // 2][::-1].conj()])[:, None]
+        stage = (m_sub, m_diag, m_sup, rlam, inv)
         self._stages[(j, theta_dt)] = stage
         return stage
 
@@ -174,15 +207,26 @@ class _Workspace:
     """One thread's scratch arrays for the stage-wise step.
 
     `halo` is the (m1 + 2, m2 + 2) periodic copy that A0 reads; `tmp` holds
-    one weighted product at a time and the max-abs passes of a solve; `res`
-    is a solve's residual, and free between solves.  `y0`, `a1`, `a2` and
-    `rhs` carry stage values between the calls of one step.
+    one weighted sum at a time and the max-abs passes of a solve; `res` is a
+    solve's residual, and free between solves.  `y0`, `a1`, `a2` and `rhs`
+    carry stage values between the calls of one step.  `a0_terms` holds, for
+    each nonzero weight of A0, the weight and the views of the halo that it
+    multiplies.  `pairs`, of shape (m1, m2 + m2 % 2) with a zero pad column,
+    takes the float64 C-ordered copy of an FFT x-solve's rhs that cannot be
+    viewed as complex column pairs directly; np.zeros leaves its pages
+    untouched until that first copy.
     """
 
-    def __init__(self, shape: tuple[int, int]):
+    def __init__(self, shape: tuple[int, int], mixed_groups):
         m1, m2 = shape
         self.halo = np.empty((m1 + 2, m2 + 2))
         self.tmp, self.res, self.y0, self.a1, self.a2, self.rhs = (np.empty(shape) for _ in range(6))
+        h = self.halo
+        self.a0_terms = tuple(
+            (weight, tuple(h[1 + di : 1 + di + m1, 1 + dj : 1 + dj + m2] for di, dj in offsets))
+            for weight, offsets in mixed_groups
+        )
+        self.pairs = np.zeros((m1, m2 + m2 % 2))
 
 
 def _add_shifted(out: np.ndarray, weight: float, u: np.ndarray, shift: int, axis: int,
@@ -243,12 +287,19 @@ def apply_split_operator(
         raise DomainError("out must not overlap the input field")
     ws = ops._workspace()
     if j == 0:
-        m1, m2 = u.shape
-        h = _periodic_halo(ws.halo, u)
-        out.fill(0.0)
-        for (di, dj), weight in ops.mixed_weights.items():
-            if weight != 0.0:
-                out += np.multiply(weight, h[1 + di : 1 + di + m1, 1 + dj : 1 + dj + m2], out=ws.tmp)
+        if not ws.a0_terms:
+            out.fill(0.0)
+            return out
+        _periodic_halo(ws.halo, u)
+        tmp = ws.tmp
+        for k, (weight, (acc, *rest)) in enumerate(ws.a0_terms):
+            # out (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
+            for nb in rest:
+                acc = np.add(acc, nb, out=tmp)
+            if k == 0:
+                np.multiply(weight, acc, out=out)
+            else:
+                np.add(out, np.multiply(weight, acc, out=tmp), out=out)
         return out
     sub, diag, sup, _ = ops.directional_stencil(j)
     # diag*u + sub*u[i-1] equals sub*u[i-1] + diag*u exactly: the sum runs sub, diag, sup
@@ -264,10 +315,18 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     The stage matrix M, with stencil (m_sub, m_diag, m_sup), is circulant
     along axis j - 1, so Fourier mode k of n is an eigenvector of M with
     eigenvalue lam_k = m_diag + (m_sub + m_sup) cos(phi_k) + i (m_sup - m_sub)
-    sin(phi_k), phi_k = 2 pi k / n.  All grid lines are solved at once by
-    rfft, division by lam_k and irfft, or, for n <= _DENSE_MAX, by one
-    product with the cached inverse of M.  A diagonal M (e.g. theta_dt = 0)
-    returns rhs / m_diag exactly.
+    sin(phi_k), phi_k = 2 pi k / n.  For n <= _DENSE_MAX all grid lines are
+    solved at once by one product with the cached inverse of M.  Above it,
+    the y-solve is an rfft along axis 1, a product with the cached 1/lam_k
+    and the irfft.  The x-solve uses that M is real, so that
+    M^-1 (u_even + i u_odd) = M^-1 u_even + i M^-1 u_odd for the column
+    pairs of rhs: it runs a complex fft along axis 0 of the complex128 view
+    of rhs, of shape (m1, m2 / 2), multiplies by 1/lam_k and views the ifft
+    as float64 again.  A rhs that is not float64, not C-ordered or has odd
+    m2 is first copied into the thread's zero-padded workspace, and the
+    y-solve promotes its rhs to float64, so the FFTs always run in double
+    precision.  A diagonal M (e.g. theta_dt = 0) returns rhs / m_diag
+    exactly.
 
     SingularSystemError is raised whenever min|lam_k| <= n eps max|lam_k|,
     whatever the right-hand side (for PSD operators and theta_dt > 0 every
@@ -276,17 +335,26 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.
     """
     rhs = validate_field(ops.grid, rhs)
-    m_sub, m_diag, m_sup, lam, inv = ops._stage(j, theta_dt)
+    m_sub, m_diag, m_sup, rlam, inv = ops._stage(j, theta_dt)
     if m_sub == 0.0 and m_sup == 0.0:
         return rhs / m_diag
     axis = j - 1
+    ws = ops._workspace()
     if inv is not None:
         x = inv @ rhs if j == 1 else rhs @ inv
+    elif j == 1:
+        m2 = rhs.shape[1]
+        pairs = rhs
+        if not (rhs.dtype == np.float64 and rhs.flags.c_contiguous and m2 % 2 == 0):
+            pairs = ws.pairs
+            pairs[:, :m2] = rhs
+        xh = np.fft.fft(pairs.view(np.complex128), axis=0)
+        xh *= rlam
+        x = np.fft.ifft(xh, axis=0).view(np.float64)[:, :m2]
     else:
-        xh = np.fft.rfft(rhs, axis=axis)
-        xh /= lam
-        x = np.fft.irfft(xh, n=rhs.shape[axis], axis=axis)
-    ws = ops._workspace()
+        xh = np.fft.rfft(np.asarray(rhs, dtype=np.float64), axis=1)
+        xh *= rlam
+        x = np.fft.irfft(xh, n=rhs.shape[1], axis=1)
     r, tmp = ws.res, ws.tmp
     np.multiply(m_diag, x, out=r)
     _add_shifted(r, m_sup, x, -1, axis, tmp)

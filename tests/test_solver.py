@@ -84,18 +84,29 @@ def test_apply_matches_dense_transcription(which):
 
 
 def _apply_rolled(ops, j, u):
-    # reference: each stencil as a sum of np.roll copies, in the solver's order
+    # reference: each stencil as a sum of np.roll copies, in the solver's order;
+    # A0 adds the neighbours that share a weight before weighting their sum
     if j == 0:
-        out = np.zeros_like(u)
-        for (di, dj), weight in ops.mixed_weights.items():
-            if weight != 0.0:
-                out += weight * np.roll(u, (-di, -dj), axis=(0, 1))
-        return out
+        w = ops.mixed_weights
+        assert w[1, 1] == w[-1, -1] and w[-1, 1] == w[1, -1]
+        assert w[1, 0] == w[-1, 0] == w[0, 1] == w[0, -1]
+
+        def nb(di, dj):
+            return np.roll(u, (-di, -dj), axis=(0, 1))
+
+        groups = [
+            (w[1, 1], nb(1, 1) + nb(-1, -1)),
+            (w[-1, 1], nb(-1, 1) + nb(1, -1)),
+            (w[1, 0], ((nb(1, 0) + nb(-1, 0)) + nb(0, 1)) + nb(0, -1)),
+            (w[0, 0], u),
+        ]
+        terms = [weight * s for weight, s in groups if weight != 0.0]
+        return sum(terms[1:], terms[0]) if terms else np.zeros_like(u)
     sub, diag, sup, _ = ops.directional_stencil(j)
     return sub * np.roll(u, 1, j - 1) + diag * u + sup * np.roll(u, -1, j - 1)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 0.5, -1.0, 1.0])
 @pytest.mark.parametrize(
     "shape", [(3, 3), (3, 5), (5, 3), (8, 6)], ids=lambda s: f"{s[0]}x{s[1]}"
 )
@@ -232,16 +243,29 @@ def test_residual_guard_rejects_perturbed_solution(monkeypatch):
         for j in (1, 2):  # the unperturbed solves pass the guard
             x = solve_directional(ops, j, 0.11, rhs)
             assert float(np.max(np.abs(x - 0.11 * apply_split_operator(ops, j, x) - rhs))) <= 1e-12
-        with monkeypatch.context() as patch:
-            if grid is GRID:
-                for key, (m_sub, m_diag, m_sup, lam, inv) in list(ops._stages.items()):
-                    patch.setitem(ops._stages, key, (m_sub, m_diag, m_sup, lam, inv * (1.0 + 1e-6)))
-            else:
-                irfft = np.fft.irfft
-                patch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) * (1.0 + 1e-6))
-            for j in (1, 2):
+        # the FFT x-solve ends in a complex ifft, the y-solve in an irfft
+        for j, inverse in ((1, "ifft"), (2, "irfft")):
+            with monkeypatch.context() as patch:
+                if grid is GRID:
+                    for key, (m_sub, m_diag, m_sup, rlam, inv) in list(ops._stages.items()):
+                        patch.setitem(ops._stages, key,
+                                      (m_sub, m_diag, m_sup, rlam, inv * (1.0 + 1e-6)))
+                else:
+                    transform = getattr(np.fft, inverse)
+                    patch.setattr(np.fft, inverse,
+                                  lambda *a, f=transform, **k: f(*a, **k) * (1.0 + 1e-6))
                 with pytest.raises(SingularSystemError, match="backward-error"):
                     solve_directional(ops, j, 0.11, rhs)
+
+
+def _half_spectrum(ops, j, td):
+    # eigenvalues of M = I - td A_j for Fourier modes k = 0 .. n // 2, by the
+    # closed form of the solve_directional docstring (cond(M) reaches 1e4 here,
+    # so other roundings of lam move the solves by more than 1e-13)
+    sub, diag, sup, n = ops.directional_stencil(j)
+    m_sub, m_diag, m_sup = -td * sub, 1.0 - td * diag, -td * sup
+    phi = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    return m_diag + (m_sub + m_sup) * np.cos(phi) + 1j * ((m_sup - m_sub) * np.sin(phi))
 
 
 @pytest.mark.parametrize("n", [3, 16, _DENSE_MAX, _DENSE_MAX + 1])
@@ -260,14 +284,53 @@ def test_dense_and_fft_solves_agree(j, n):
         td = 10.0 ** rng.uniform(-5.0, -1.0)
         rhs = rng.standard_normal(shape)
         x = solve_directional(ops, j, td, rhs)
-        lam, cached = ops._stage(j, td)[3:]
-        assert (cached is None) == (n > _DENSE_MAX)
+        assert (ops._stage(j, td)[4] is None) == (n > _DENSE_MAX)
+        lam = _half_spectrum(ops, j, td)
+        lam = lam[:, None] if j == 1 else lam
         fft = np.fft.irfft(np.fft.rfft(rhs, axis=axis) / lam, n=n, axis=axis)
         inv = np.fft.irfft(np.fft.rfft(np.eye(n), axis=axis) / lam, n=n, axis=axis)
         dense = inv @ rhs if j == 1 else rhs @ inv
         scale = float(np.max(np.abs(fft)))
         assert float(np.max(np.abs(x - fft))) <= 1e-13 * scale
         assert float(np.max(np.abs(x - dense))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "float32"])
+@pytest.mark.parametrize("m2", [5, 6], ids=["odd", "even"])
+@pytest.mark.parametrize("m1", [_DENSE_MAX + 1, _DENSE_MAX + 4, 2 * _DENSE_MAX + 1])
+def test_fft_x_solve_matches_rfft_formula_on_any_layout(m1, m2, layout):
+    # a C-ordered float64 rhs of even width is viewed as complex column pairs;
+    # every other rhs is copied into the zero-padded workspace first.  Even m1
+    # has a Nyquist mode, which the full spectrum of 1/lam_k must not repeat
+    grid = GridSpec(m1=m1, m2=m2, dx=1.0 / m1, dy=1.0 / m2, beta=0.5)
+    ops = build_split_operators(COEFFS, grid)
+    rhs = np.random.Generator(np.random.Philox(key=41)).standard_normal(grid.shape)
+    rhs = {"C": rhs, "F": np.asfortranarray(rhs), "float32": rhs.astype(np.float32)}[layout]
+    kept = rhs.copy(order="K")
+    x = solve_directional(ops, 1, 0.01, rhs)
+    lam = _half_spectrum(ops, 1, 0.01)[:, None]
+    want = np.fft.irfft(np.fft.rfft(rhs.astype(np.float64), axis=0) / lam, n=m1, axis=0)
+    assert x.dtype == np.float64 and x.shape == grid.shape
+    assert float(np.max(np.abs(x - want))) <= 1e-13 * float(np.max(np.abs(want)))
+    assert np.array_equal(rhs, kept) and rhs.dtype == kept.dtype
+    assert rhs.flags.f_contiguous == kept.flags.f_contiguous
+    for buf in vars(ops._workspace()).values():
+        assert not (isinstance(buf, np.ndarray) and np.shares_memory(x, buf))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("n", [16, _DENSE_MAX + 4], ids=["dense", "fft"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_solve_directional_solves_low_precision_rhs_in_double(j, n, dtype):
+    # single-precision FFTs of a float32 rhs used to miss the 1e-10 backward-error bound
+    shape = (n, 6) if j == 1 else (6, n)
+    grid = GridSpec(m1=shape[0], m2=shape[1], dx=1.0 / shape[0], dy=1.0 / shape[1])
+    ops = build_split_operators(COEFFS, grid)
+    rhs = np.random.Generator(np.random.Philox(key=43)).standard_normal(shape).astype(dtype)
+    x = solve_directional(ops, j, 0.01, rhs)
+    want = solve_directional(ops, j, 0.01, rhs.astype(np.float64))
+    assert x.dtype == np.float64
+    assert float(np.max(np.abs(x - want))) <= 1e-13 * float(np.max(np.abs(want)))
 
 
 def test_stage_eigenvalue_cache_is_keyed_by_direction_and_theta_dt():
@@ -351,7 +414,8 @@ def test_step_matches_allocating_stage_expressions_bitwise(shape, beta, scheme):
 
 def _solve_core_peak(u):
     # what the step may not avoid: one product with a cached inverse, or one
-    # rfft/irfft pair along the strided axis
+    # FFT round trip (an rfft/irfft pair along axis 0 allocates 2.0 fields at
+    # 260^2, the x-solve's fft/ifft pair on the column pairs 2.2)
     inv = np.eye(u.shape[0])
     tracemalloc.start()
     try:
