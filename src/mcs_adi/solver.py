@@ -40,30 +40,44 @@ always run in double precision.
 Every solve is verified a posteriori by its normwise backward error in
 physical space.
 
-Periodic shifts are slice updates, not rolled copies of the field: a +-1
-shift along one axis adds the interior slice and the wrap row (or column)
-separately.  The mixed stencil reads its nine neighbours as views of one
-halo copy of the field of shape (m1 + 2, m2 + 2) and adds the neighbours
+Periodic shifts are not rolled copies of the field.  The product
+weight * u[i - 1] along axis 0 reads row slices of u, and the wrap row on
+its own.  Along axis 1 it is one multiply over the field's rows taken as one
+flat array, which in the wrap column pairs each row with the last entry of
+the row above, followed by a strided multiply that redoes the wrap column;
+every operand is one-dimensional, so numpy needs no iterator buffers for
+it.  The mixed stencil reads its nine neighbours as views of a copy of the
+field with one periodic ghost layer on every side, and adds the neighbours
 that share a weight before multiplying, so A0 is four weighted sums
 w++ (h++ + h--) + w-+ (h-+ + h+-) + we ((h+0 + h-0) + h0+ + h0-) + wc h00,
 with a group of weight zero left out.  Every sum is formed in the same
 order as with rolled copies, so the results are bit-identical to them.
 
+The stencils and the backward-error check of a solve run in row bands of
+at most _BAND_POINTS = 2^15 grid points, 256 KiB per float64 array, so that
+the operands and scratch of a band stay in a 2 MiB L2 cache between the
+passes over it, where a 512^2 field spills it.  A0 fills the halo of one
+band, of shape (B + 2, m2 + 2) for B rows, and sums on it; the check forms
+r = ((m_diag x + m_sup x[i+1]) + m_sub x[i-1]) - rhs on one band and takes
+the max of |r|, |x| and |rhs| there before it reads the next.  A grid of
+at most _BAND_POINTS points is one band.  The FFTs, the matrix products
+and the stage sums of a step run on whole fields.  Each grid point gets the
+same operations in the same order in any band, so the bands change no bit
+of a result.
+
 A step allocates the arrays of its solves (one matrix product result, or
-the arrays of an FFT round trip), the last of which it returns, and the
-finiteness masks of `validate_field`.  numpy's buffered iterator adds
-scratch of up to 192 KiB per call for the in-place adds of a shift along
-axis 1, whose transposed operands it copies in blocks (1.5 fields at 128^2
-under tracemalloc, against 0.002 along axis 0).  Each thread that steps
-with a SplitOperators gets its own workspace of float64 grid fields and the
-halo, built on its first use (building the operators stays cheap), and
-every stage value, stencil product and solve residual is written there by
-ufunc `out=` calls.  The stages are formed in the order of the formulas
-above, with a product such as theta dt A1 U computed once for predictor and
-corrector; only operands of the IEEE-commutative `+` and `*` may swap
-places, so a step is bit-identical to the plain array expressions.  A
-returned field is never a workspace array: two step results can be kept side
-by side.
+the arrays of an FFT round trip), the last of which it returns, the
+finiteness masks of `validate_field`, and the iterator buffers of numpy
+for A0's sums of the strided halo views (up to 192 KiB per call).  Each
+thread that steps with a SplitOperators gets its own workspace of float64
+grid fields and band scratch, built on its first use (building the
+operators stays cheap), and every stage value, stencil product and solve
+residual is written there by ufunc `out=` calls.  The stages are formed in
+the order of the formulas above, with a product such as theta dt A1 U
+computed once for predictor and corrector; only operands of the
+IEEE-commutative `+` and `*` may swap places, so a step is bit-identical to
+the plain array expressions.  A returned field is never a workspace array:
+two step results can be kept side by side.
 
 `mode_amplification` closes the loop with the Fourier analysis: it runs the
 actual stepper on a cosine/sine mode pair and projects out the complex
@@ -87,6 +101,9 @@ _RESIDUAL_RTOL = 1e-10
 
 #: Longest solve length whose stage matrix is inverted densely and applied by matmul.
 _DENSE_MAX = 256
+
+#: Most grid points in one row band of the stencil and residual kernels (256 KiB of float64).
+_BAND_POINTS = 1 << 15
 
 #: (m_sub, m_diag, m_sup, rlam, inv) of one cached stage matrix; see SplitOperators._stage.
 _Stage = tuple[float, float, float, np.ndarray | None, np.ndarray | None]
@@ -206,51 +223,82 @@ class SplitOperators:
 class _Workspace:
     """One thread's scratch arrays for the stage-wise step.
 
-    `halo` is the (m1 + 2, m2 + 2) periodic copy that A0 reads; `tmp` holds
-    one weighted sum at a time and the max-abs passes of a solve; `res` is a
-    solve's residual, and free between solves.  `y0`, `a1`, `a2` and `rhs`
-    carry stage values between the calls of one step.  `a0_terms` holds, for
-    each nonzero weight of A0, the weight and the views of the halo that it
-    multiplies.  `pairs`, of shape (m1, m2 + m2 % 2) with a zero pad column,
-    takes the float64 C-ordered copy of an FFT x-solve's rhs that cannot be
-    viewed as complex column pairs directly; np.zeros leaves its pages
-    untouched until that first copy.
+    `y0`, `a1`, `a2` and `rhs` carry stage values between the calls of one
+    step, and `aux` holds one stage product at a time.  The stencil and
+    residual kernels run band by band over `bands` (see _Band), which share
+    the band-sized scratch `tmp`, `res` and `halo` and write their max-abs
+    values to the rows of `peaks`.  `pairs`, of shape (m1, m2 + m2 % 2)
+    with a zero pad column, takes the float64 C-ordered copy of an FFT
+    x-solve's rhs that cannot be viewed as complex column pairs directly;
+    np.zeros leaves its pages untouched until that first copy.
     """
 
     def __init__(self, shape: tuple[int, int], mixed_groups):
         m1, m2 = shape
-        self.halo = np.empty((m1 + 2, m2 + 2))
-        self.tmp, self.res, self.y0, self.a1, self.a2, self.rhs = (np.empty(shape) for _ in range(6))
-        h = self.halo
-        self.a0_terms = tuple(
-            (weight, tuple(h[1 + di : 1 + di + m1, 1 + dj : 1 + dj + m2] for di, dj in offsets))
-            for weight, offsets in mixed_groups
-        )
+        rows = min(m1, max(1, _BAND_POINTS // m2))
+        self.y0, self.a1, self.a2, self.rhs, self.aux = (np.empty(shape) for _ in range(5))
+        self.tmp, self.res = np.empty((rows, m2)), np.empty((3, rows, m2))
+        self.halo = np.empty((rows + 2, m2 + 2))
+        starts = range(0, m1, rows)
+        self.peaks = np.empty((len(starts), 3))
+        self.bands = tuple(_Band(self, k, r0, min(r0 + rows, m1), mixed_groups)
+                           for k, r0 in enumerate(starts))
         self.pairs = np.zeros((m1, m2 + m2 % 2))
 
 
-def _add_shifted(out: np.ndarray, weight: float, u: np.ndarray, shift: int, axis: int,
-                 tmp: np.ndarray) -> None:
-    """out[i] += weight * u[i - shift] along `axis`, periodic, for shift = +-1; tmp is scratch."""
-    np.multiply(weight, u, out=tmp)
-    if axis == 1:
-        out, tmp = out.T, tmp.T
-    if shift == 1:
-        out[1:] += tmp[:-1]
-        out[0] += tmp[-1]
-    else:
-        out[:-1] += tmp[1:]
-        out[-1] += tmp[0]
+class _Band:
+    """Rows r0:r1 of the grid, and the workspace views that their kernels use.
+
+    `tmp` is the band's rows of the workspace scratch, `res` those of the
+    stacked residual, |x| and |rhs| of a solve check (split in `res_parts`),
+    and `peaks` the workspace row that takes their three maxima.  `shifts`
+    maps (j, shift) to the (destination, source index) pairs of
+    tmp = weight * u[i - shift] along axis j - 1: for j = 1 the sources are
+    row slices of u, the wrap row of the first or last band on its own; for
+    j = 2 they index the flattened field, one contiguous pass over the
+    band's rows, whose products cross from one row into the next in the wrap
+    column, and then a strided pass that redoes the wrap column.
+    `halo_rows` and `halo_cols` fill the (r1 - r0 + 2, m2 + 2) periodic halo
+    of the band, the rows from u and the ghost columns from the halo itself,
+    and `a0_terms` holds, for each nonzero weight of A0, the weight and the
+    views of the halo that it multiplies.
+    """
+
+    def __init__(self, ws: _Workspace, k: int, r0: int, r1: int, mixed_groups):
+        m1, m2 = ws.y0.shape
+        h, a, b = r1 - r0, r0 * m2, r1 * m2
+        self.rows = slice(r0, r1)
+        t = self.tmp = ws.tmp[:h]
+        self.res = ws.res[:, :h]
+        self.res_parts = tuple(self.res)
+        self.peaks = ws.peaks[k]
+        flat = t.reshape(-1)
+        up = ((t, slice(r0 - 1, r1 - 1)),) if r0 > 0 else ((t[1:], slice(0, r1 - 1)), (t[0], m1 - 1))
+        down = ((t, slice(r0 + 1, r1 + 1)),) if r1 < m1 else ((t[:-1], slice(r0 + 1, m1)), (t[-1], 0))
+        self.shifts = {
+            (1, 1): up,
+            (1, -1): down,
+            (2, 1): ((flat[1:], slice(a, b - 1)), (t[:, 0], slice(a + m2 - 1, b, m2))),
+            (2, -1): ((flat[:-1], slice(a + 1, b)), (t[:, -1], slice(a, b, m2))),
+        }
+        hb = ws.halo[: h + 2]
+        self.halo_rows = ((hb[1:-1, 1:-1], self.rows), (hb[0, 1:-1], (r0 - 1) % m1),
+                          (hb[-1, 1:-1], r1 % m1))
+        self.halo_cols = ((hb[:, 0], hb[:, -2]), (hb[:, -1], hb[:, 1]))
+        self.a0_terms = tuple(
+            (weight, tuple(hb[1 + di : 1 + di + h, 1 + dj : 1 + dj + m2] for di, dj in offsets))
+            for weight, offsets in mixed_groups
+        )
 
 
-def _periodic_halo(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fill h, of shape (m1 + 2, m2 + 2), with u and one periodic ghost layer on every side."""
-    h[1:-1, 1:-1] = u
-    h[0, 1:-1] = u[-1]
-    h[-1, 1:-1] = u[0]
-    h[:, 0] = h[:, -2]
-    h[:, -1] = h[:, 1]
-    return h
+def _shifted(band: _Band, j: int, shift: int, weight: float, src: np.ndarray) -> np.ndarray:
+    """band.tmp = weight * u[i - shift] along axis j - 1 on the band's rows, periodic.
+
+    shift is +-1; src is u for j = 1 and u.reshape(-1) for j = 2.
+    """
+    for dst, index in band.shifts[j, shift]:
+        np.multiply(weight, src[index], out=dst)
+    return band.tmp
 
 
 def build_split_operators(coeffs: PdeCoefficients, grid: GridSpec) -> SplitOperators:
@@ -287,25 +335,32 @@ def apply_split_operator(
         raise DomainError("out must not overlap the input field")
     ws = ops._workspace()
     if j == 0:
-        if not ws.a0_terms:
+        if not ops._mixed_groups:
             out.fill(0.0)
             return out
-        _periodic_halo(ws.halo, u)
-        tmp = ws.tmp
-        for k, (weight, (acc, *rest)) in enumerate(ws.a0_terms):
-            # out (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
-            for nb in rest:
-                acc = np.add(acc, nb, out=tmp)
-            if k == 0:
-                np.multiply(weight, acc, out=out)
-            else:
-                np.add(out, np.multiply(weight, acc, out=tmp), out=out)
+        for band in ws.bands:
+            for dst, index in band.halo_rows:
+                dst[...] = u[index]
+            for dst, ghost in band.halo_cols:
+                dst[...] = ghost
+            o, tmp = out[band.rows], band.tmp
+            for k, (weight, (acc, *rest)) in enumerate(band.a0_terms):
+                # o (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
+                for nb in rest:
+                    acc = np.add(acc, nb, out=tmp)
+                if k == 0:
+                    np.multiply(weight, acc, out=o)
+                else:
+                    np.add(o, np.multiply(weight, acc, out=tmp), out=o)
         return out
     sub, diag, sup, _ = ops.directional_stencil(j)
-    # diag*u + sub*u[i-1] equals sub*u[i-1] + diag*u exactly: the sum runs sub, diag, sup
-    np.multiply(diag, u, out=out)
-    _add_shifted(out, sub, u, 1, j - 1, ws.tmp)
-    _add_shifted(out, sup, u, -1, j - 1, ws.tmp)
+    src = u if j == 1 else u.reshape(-1)
+    for band in ws.bands:
+        # diag*u + sub*u[i-1] equals sub*u[i-1] + diag*u exactly: the sum runs sub, diag, sup
+        o = out[band.rows]
+        np.multiply(diag, u[band.rows], out=o)
+        np.add(o, _shifted(band, j, 1, sub, src), out=o)
+        np.add(o, _shifted(band, j, -1, sup, src), out=o)
     return out
 
 
@@ -337,8 +392,7 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     rhs = validate_field(ops.grid, rhs)
     m_sub, m_diag, m_sup, rlam, inv = ops._stage(j, theta_dt)
     if m_sub == 0.0 and m_sup == 0.0:
-        return rhs / m_diag
-    axis = j - 1
+        return np.divide(rhs, m_diag, dtype=np.float64)
     ws = ops._workspace()
     if inv is not None:
         x = inv @ rhs if j == 1 else rhs @ inv
@@ -355,15 +409,23 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
         xh = np.fft.rfft(np.asarray(rhs, dtype=np.float64), axis=1)
         xh *= rlam
         x = np.fft.irfft(xh, n=rhs.shape[1], axis=1)
-    r, tmp = ws.res, ws.tmp
-    np.multiply(m_diag, x, out=r)
-    _add_shifted(r, m_sup, x, -1, axis, tmp)
-    _add_shifted(r, m_sub, x, 1, axis, tmp)
-    residual = float(np.abs(np.subtract(r, rhs, out=r), out=r).max())
+    # r = ((m_diag x + m_sup x[i+1]) + m_sub x[i-1]) - rhs, band by band, and
+    # the max of |r|, |x| and |rhs| over the band in one reduction; a NaN
+    # anywhere reaches `peaks` and fails the check
+    src = x if j == 1 else x.reshape(-1)
+    for band in ws.bands:
+        r, abs_x, abs_rhs = band.res_parts
+        x_band, rhs_band = x[band.rows], rhs[band.rows]
+        np.multiply(m_diag, x_band, out=r)
+        np.add(r, _shifted(band, j, -1, m_sup, src), out=r)
+        np.add(r, _shifted(band, j, 1, m_sub, src), out=r)
+        np.abs(np.subtract(r, rhs_band, out=r), out=r)
+        np.abs(x_band, out=abs_x)
+        np.abs(rhs_band, out=abs_rhs)
+        band.res.max(axis=(1, 2), out=band.peaks)
+    residual, x_max, rhs_max = ws.peaks.max(axis=0).tolist()
     norm_m = abs(m_diag) + abs(m_sub) + abs(m_sup)
-    bound = _RESIDUAL_RTOL * (
-        norm_m * float(np.abs(x, out=tmp).max()) + float(np.abs(rhs, out=tmp).max())
-    )
+    bound = _RESIDUAL_RTOL * (norm_m * x_max + rhs_max)
     if not residual <= bound:
         raise SingularSystemError(
             f"direction {j} solve failed the backward-error check "
@@ -396,7 +458,7 @@ def step_mcs(ops: SplitOperators, params: SchemeParams, u: np.ndarray) -> np.nda
     ws = ops._workspace()
     dy = _douglas_predictor(ops, params, u, ws)
     np.subtract(dy, u, out=dy)  # Y2 - U, in the memory of Y2
-    y0, aux = ws.y0, ws.res
+    y0, aux = ws.y0, ws.aux
     a0dy = apply_split_operator(ops, 0, dy, out=ws.rhs)
     np.add(y0, np.multiply(td, a0dy, out=aux), out=y0)  # Yh0
     np.add(a0dy, apply_split_operator(ops, 1, dy, out=aux), out=a0dy)
@@ -556,9 +618,9 @@ def field_l2(u: np.ndarray) -> float:
 def write_field_csv(path, u: np.ndarray) -> None:
     """Write a field as CSV rows "i,j,u" in row-major order, full precision."""
     u = np.asarray(u)
-    # one str.format call per grid row: {0} is the row index, {j + 1} column j
-    row_fmt = "".join(f"{{0}},{j},{{{j + 1}:.17g}}\n" for j in range(u.shape[1]))
+    # one %-format per grid row, whose template has the row index spliced in as text
+    row_fmt = "".join(f"%d,{j},%.17g\n" for j in range(u.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,u\n")
         for i, row in enumerate(u):
-            fh.write(row_fmt.format(i, *row.tolist()))
+            fh.write(row_fmt.replace("%d", str(i)) % tuple(row.tolist()))

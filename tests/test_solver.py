@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mcs_adi.solver import (
+    _BAND_POINTS,
     _DENSE_MAX,
     ManufacturedProblem,
     SingularSystemError,
@@ -235,25 +236,35 @@ def test_solve_directional_matches_dense_solve(j, grid, td, tol):
 
 
 def test_residual_guard_rejects_perturbed_solution(monkeypatch):
-    # GRID solves by the cached dense inverses, the larger grid by FFTs
+    # GRID solves by the cached dense inverses, in one row band; the larger
+    # grid solves by FFTs, in three row bands of 126, 126 and 5 rows.  A
+    # perturbation of x confined to the periodic wrap (the last row for j = 1)
+    # or to the last band (the last entry of the last column for j = 2 on the
+    # larger grid) must still fail the check
     big = GridSpec(m1=_DENSE_MAX + 1, m2=_DENSE_MAX + 3, dx=0.2, dy=0.25, beta=-0.5)
+    assert len(range(0, big.m1, _BAND_POINTS // big.m2)) == 3
     for grid in (GRID, big):
         ops = build_split_operators(COEFFS, grid)
         rhs = np.random.Generator(np.random.Philox(key=17)).standard_normal(grid.shape)
         for j in (1, 2):  # the unperturbed solves pass the guard
             x = solve_directional(ops, j, 0.11, rhs)
             assert float(np.max(np.abs(x - 0.11 * apply_split_operator(ops, j, x) - rhs))) <= 1e-12
-        # the FFT x-solve ends in a complex ifft, the y-solve in an irfft
-        for j, inverse in ((1, "ifft"), (2, "irfft")):
+        # x = inv @ rhs (j = 1) or rhs @ inv (j = 2) on GRID; the FFT x-solve
+        # ends in a complex ifft, the y-solve in an irfft
+        for j, inverse, where in ((1, "ifft", np.s_[-1]), (2, "irfft", np.s_[-1, -1])):
             with monkeypatch.context() as patch:
                 if grid is GRID:
                     for key, (m_sub, m_diag, m_sup, rlam, inv) in list(ops._stages.items()):
-                        patch.setitem(ops._stages, key,
-                                      (m_sub, m_diag, m_sup, rlam, inv * (1.0 + 1e-6)))
+                        inv = inv.copy()
+                        inv[np.s_[-1] if key[0] == 1 else np.s_[:, -1]] *= 1.0 + 1e-6
+                        patch.setitem(ops._stages, key, (m_sub, m_diag, m_sup, rlam, inv))
                 else:
-                    transform = getattr(np.fft, inverse)
-                    patch.setattr(np.fft, inverse,
-                                  lambda *a, f=transform, **k: f(*a, **k) * (1.0 + 1e-6))
+                    def perturbed(*args, f=getattr(np.fft, inverse), where=where, **kwargs):
+                        x = f(*args, **kwargs)
+                        x[where] *= 1.0 + 1e-6
+                        return x
+
+                    patch.setattr(np.fft, inverse, perturbed)
                 with pytest.raises(SingularSystemError, match="backward-error"):
                     solve_directional(ops, j, 0.11, rhs)
 
@@ -322,15 +333,18 @@ def test_fft_x_solve_matches_rfft_formula_on_any_layout(m1, m2, layout):
 @pytest.mark.parametrize("n", [16, _DENSE_MAX + 4], ids=["dense", "fft"])
 @pytest.mark.parametrize("j", [1, 2])
 def test_solve_directional_solves_low_precision_rhs_in_double(j, n, dtype):
-    # single-precision FFTs of a float32 rhs used to miss the 1e-10 backward-error bound
+    # single-precision FFTs of a float32 rhs used to miss the 1e-10 backward-error
+    # bound; the last two cases have a diagonal stage matrix (theta dt = 0, or no
+    # coefficients), solved by one division that used to keep the rhs's precision
     shape = (n, 6) if j == 1 else (6, n)
     grid = GridSpec(m1=shape[0], m2=shape[1], dx=1.0 / shape[0], dy=1.0 / shape[1])
-    ops = build_split_operators(COEFFS, grid)
     rhs = np.random.Generator(np.random.Philox(key=43)).standard_normal(shape).astype(dtype)
-    x = solve_directional(ops, j, 0.01, rhs)
-    want = solve_directional(ops, j, 0.01, rhs.astype(np.float64))
-    assert x.dtype == np.float64
-    assert float(np.max(np.abs(x - want))) <= 1e-13 * float(np.max(np.abs(want)))
+    for coeffs, td in ((COEFFS, 0.01), (COEFFS, 0.0), (PdeCoefficients(), 0.01)):
+        ops = build_split_operators(coeffs, grid)
+        x = solve_directional(ops, j, td, rhs)
+        want = solve_directional(ops, j, td, rhs.astype(np.float64))
+        assert x.dtype == np.float64
+        assert float(np.max(np.abs(x - want))) <= 1e-13 * float(np.max(np.abs(want)))
 
 
 def test_stage_eigenvalue_cache_is_keyed_by_direction_and_theta_dt():
@@ -396,8 +410,12 @@ def _step_reference(scheme, ops, params, u):
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize(
     "shape",
-    # the last two solve one direction by FFT, the others both by dense inverses
-    [(3, 3), (3, 4), (3, 5), (8, 6), (64, 48), (_DENSE_MAX + 4, 6), (6, _DENSE_MAX + 4)],
+    # (260, 6) and (6, 260) solve one direction by FFT, the others both by
+    # dense inverses; the last two run their kernels in several row bands, the
+    # last of them shorter (32, 32 and 3 rows; 819 and 211 rows), and also mix
+    # the dense and FFT solves
+    [(3, 3), (3, 4), (3, 5), (8, 6), (64, 48), (_DENSE_MAX + 4, 6), (6, _DENSE_MAX + 4),
+     (67, 1024), (1030, 40)],
     ids=lambda s: f"{s[0]}x{s[1]}",
 )
 def test_step_matches_allocating_stage_expressions_bitwise(shape, beta, scheme):
@@ -446,6 +464,31 @@ def test_warm_step_allocates_only_its_solve_arrays(n):
     # the bound is about 3 or 4 fields; the step peaked at 2.5 (dense, 128^2)
     # and 2.4 (FFT); with its temporaries allocated it peaked at about 15
     assert peak < _solve_core_peak(u) + 2 * u.nbytes
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_axis_1_stencil_allocates_only_the_finiteness_mask(n):
+    # the shifts along axis 1 run as flat passes over contiguous rows, so numpy
+    # needs no iterator buffers for them (which cost 3.5 fields at 16^2 and 1.5
+    # at 128^2 when they added transposed views); what remains is the boolean
+    # mask and reduction of validate_field, which every apply makes
+    grid = GridSpec(m1=n, m2=n, dx=1.0 / n, dy=1.0 / n, beta=0.5)
+    ops = build_split_operators(COEFFS, grid)
+    u = np.random.Generator(np.random.Philox(key=53)).standard_normal(grid.shape)
+    out = np.empty(grid.shape)
+    apply_split_operator(ops, 2, u, out=out)  # builds the workspace
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    mask = peak(lambda: validate_field(grid, u))
+    assert peak(lambda: apply_split_operator(ops, 2, u, out=out)) - mask < 0.05 * u.nbytes
 
 
 def test_threads_sharing_operators_step_like_serial_runs():
