@@ -20,11 +20,11 @@ The thmN_* helpers verify the five closed-form thresholds
     1/2   sufficiency on the full cone via a phase-monotone bound,
 
 each against quantities this package computes independently of the scans:
-deterministic grid sweeps, exact floating-point spot values, and for 1/4, the
-upper side S <= 1 of 1/3, 2/5 and 5/12 exact certificates -- polynomial
+deterministic sweeps of closed-form bounds, exact floating-point spot values,
+and for 1/4, both sides of 1/3, 2/5 and 5/12 exact certificates -- polynomial
 identities in rational arithmetic that prove the closed form (module
-`certificates`).  The lower side S >= -1 of 1/3 rests on the grid sweeps.
-`verify_theorem` runs them as one table of named pass/fail checks for the CLI.
+`certificates`).  `verify_theorem` runs them as one table of named pass/fail
+checks for the CLI; the grid scans of |S| are float cross-checks outside it.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
@@ -485,7 +485,7 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
     among this module's globals and in `certificates` when they run, so
     building the rows runs none, and one wrapped or replaced after import is
     the one that runs.  A value that several rows read -- the complex scan,
-    the cubic coefficient or the all-real cone certificate at one theta, the
+    the cubic coefficient or an all-real cone certificate at one theta, the
     ratio maximum -- is computed once per call.
     """
     from . import certificates as cert  # deferred: see the `certificates` docstring
@@ -495,7 +495,11 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
     )
     cubic = functools.cache(lambda th: cert.thm3_cubic(th))
     upper = functools.cache(lambda th: cert.thm2_upper(th))
+    lower = functools.cache(lambda th: cert.thm2_lower(th))
     ratio_max = functools.cache(lambda: thm4_maximize())
+    lower_rows = [(2, f"real_cone_lower_bound_at_{t.replace('/', '_')}", lambda t=t: lower(t)[0],
+                   lambda m, t=t: lower(t)[1], f"exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves "
+                   f"S > -1 on the all-real cone at theta = {t}") for t in ("1/3", "1/2")]
     rows = [
         (1, "margin_zero_at_1_4", lambda: imaginary_axis_margin(0.25), lambda m: m == 0.0,
          "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
@@ -521,20 +525,17 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
            f"exact D - N factorization and its discriminant prove S <= 1 "
            f"on the all-real cone at theta = {t}")
           for t in ("1/3", "1/2")],
-        (2, "real_grid_max_at_1_3",
-         lambda: thm2_real_grid_scan(1.0 / 3.0, threads=threads).max_abs_s,
-         lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/3"),
+        lower_rows[0],
         (2, "sharp_point_excess_at_0_32",
          lambda: cert.exact_real_s(0.32, thm2_sharp_point(0.32)), lambda m: m >= 1.15,
          "exact S at the boundary triplet well above 1 at theta = 0.32"),
-        (2, "real_grid_max_at_1_2",
-         lambda: thm2_real_grid_scan(0.5, threads=threads).max_abs_s,
-         lambda m: m <= 1.0 + 1e-12, "max |S| over the all-real cone grid at theta = 1/2"),
+        lower_rows[1],
     ]
     for th in (0.38, 0.40, 0.42) if theta is None else (float(theta),):
         want = 40.0 * th * th - 16.0 * th
-        tag = f"{th:.6g}".replace(".", "_")
-        kind = "negative" if want < -1e-3 else "positive" if want > 1e-3 else "vanishes"
+        tag = (f"{th:.6g}" if float(f"{th:.6g}") == th else repr(th)).replace(".", "_")
+        # the float 0.4 is the one nearest 2/5, and above it: th < 0.4 iff th < 2/5 exactly
+        kind = "vanishes" if th == 0.4 else "negative" if th < 0.4 else "positive"
         predicate, detail = {
             "negative": (lambda m: m < 0.0,
                          "negative cubic term: not stable on this family (theta < 2/5)"),

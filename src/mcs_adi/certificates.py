@@ -104,6 +104,26 @@ def thm2_upper(theta: float | str) -> tuple[float, bool]:
     return float(disc), 4 * th - 1 >= 0 and (disc <= 0 or 8 * th - 4 > 0)
 
 
+def thm2_lower(theta: float | str) -> tuple[float, bool]:
+    """3.0 and whether 2 (N + D) >= 3, so S > -1, is proven for real z0 and z1, z2 <= 0.
+
+    theta as in `thm2_upper`, which this completes to |S| <= 1 on the all-real cone.
+    Exactly 2 (N + D) = (z0 + X)^2 + R with X, R the x, r below at z1 = a, z2 = b,
+    checked in z0 at 3 x 3 values of (a, b), one more than its degrees in each.
+    For theta > 0 each term of R is >= 0, so R >= 3.  Raises ArithmeticError if the
+    identity fails.
+    """
+    th = Fraction(theta)
+    for a, b in product(range(3), repeat=2):
+        n, d = mcs_parts(th, ([0, 1], []), ([a], []), ([b], []))
+        x = 1 - (2 * th - 1) * (a + b) + th**2 * a * b
+        r = (3 - 4 * th * (a + b) + 6 * th**2 * a * b - 4 * th**3 * a * b * (a + b)
+             + 3 * th**4 * (a * b) ** 2)
+        if any(_psub(_pmul([2], _padd(n[0], d[0])), [x * x + r, 2 * x, 1])):
+            raise ArithmeticError(f"the all-real N + D identity fails at theta = {theta}")
+    return 3.0, th > 0
+
+
 def exact_real_s(theta: float, pt: SpectralPoint) -> float:
     """S at an all-real triplet, exact at the float inputs and rounded once."""
     n, d = mcs_parts(Fraction(theta), *(([Fraction(z.real)], []) for z in (pt.z0, pt.z1, pt.z2)))

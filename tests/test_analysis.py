@@ -404,12 +404,38 @@ def test_a_wrong_p_breaks_both_certificates(monkeypatch, capsys, old, new):
     for theta in ("1/3", "1/2"):
         with pytest.raises(ArithmeticError, match="all-real cone identity fails"):
             certificates.thm2_upper(theta)
-    assert main(["verify", "--theorem", "1"]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.splitlines() == [
-        "numerical breakdown: the imaginary-axis identity fails at theta = 0.25"
+        with pytest.raises(ArithmeticError, match=r"all-real N \+ D identity fails"):
+            certificates.thm2_lower(theta)
+    for n, msg in (("1", "the imaginary-axis identity fails at theta = 0.25"),
+                   ("2", "the all-real cone identity fails at theta = 1/3")):
+        assert main(["verify", "--theorem", n]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"numerical breakdown: {msg}"]
+
+
+@pytest.mark.parametrize("theta", ["1/3", "1/2", 0.3, 2])
+def test_all_real_lower_certificate_proves_s_above_minus_1(theta):
+    assert certificates.thm2_lower(theta) == (3.0, True)
+
+
+def test_all_real_lower_identity_holds_at_float_triplets():
+    # exact at the float inputs: the grid's instability witness below 1/3 and
+    # random real triplets with z1, z2 <= 0 and z0 of either sign, on or off the cone
+    rng = np.random.default_rng(7)
+    cases = [(0.32, thm2_real_grid_scan(0.32).witness)] + [
+        (theta, SpectralPoint(z0, -a, -b))
+        for theta, z0, a, b in zip(rng.uniform(0.05, 2.0, 6), rng.normal(0.0, 5.0, 6),
+                                   rng.exponential(3.0, 6), rng.exponential(3.0, 6))
     ]
+    for theta, pt in cases:
+        t, z0, z1, z2 = (Fraction(float(v.real)) for v in (theta, pt.z0, pt.z1, pt.z2))
+        n, d = certificates.mcs_parts(t, ([z0], []), ([z1], []), ([z2], []))
+        x = 1 - (2 * t - 1) * (z1 + z2) + t**2 * z1 * z2
+        r = (3 - 4 * t * (z1 + z2) + 6 * t**2 * z1 * z2 - 4 * t**3 * z1 * z2 * (z1 + z2)
+             + 3 * t**4 * (z1 * z2) ** 2)
+        assert 2 * (n[0][0] + d[0][0]) == (z0 + x) ** 2 + r >= 3
+        assert complex(stability_function(theta, pt.z0, pt.z1, pt.z2)).real > -1.0
 
 
 def _serial_first_max(batches):
@@ -623,6 +649,24 @@ def test_verify_theorem3_accepts_parameter_override():
     assert checks[0].passed and abs(checks[0].measured - (-1.2)) <= 0.012
 
 
+@pytest.mark.parametrize(
+    "theta, tag, kind",
+    [(1e-5, "1e-05", "negative"), (0.39999, "0_39999", "negative"),
+     (0.4 - 2**-54, "0_39999999999999997", "negative"), (0.4, "0_4", "vanishes"),
+     (0.4 + 2**-54, "0_4000000000000001", "positive"), (0.4000001, "0_4000001", "positive"),
+     (0.1 + 0.2, "0_30000000000000004", "negative"), (100.0, "100", "positive"),
+     (1e60, "1e+60", "positive")],
+)
+def test_verify_theorem3_rows_name_the_theta_and_its_side_of_two_fifths(theta, tag, kind):
+    # a tag reads back as its theta, so no two thetas share a row name; only
+    # the float 0.4 gets the sign-change row, any other theta is on one side
+    # of 2/5 and its cubic coefficient has that sign
+    checks = verify_theorem(3, theta=theta)
+    assert [c.name for c in checks] == [f"cubic_coefficient_at_{tag}",
+                                        f"error_term_{kind}_at_{tag}"]
+    assert all(c.passed for c in checks)
+
+
 _VERIFY_ROWS = [
     (1, "margin_zero_at_1_4", "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
     (1, "margin_zero_at_1_2", "criterion margin vanishes exactly at theta = 1/2"),
@@ -638,10 +682,12 @@ _VERIFY_ROWS = [
        f"exact D - N factorization and its discriminant prove S <= 1 "
        f"on the all-real cone at theta = {t}")
       for tag, t in (("1_3", "1/3"), ("1_2", "1/2"))],
-    (2, "real_grid_max_at_1_3", "max |S| over the all-real cone grid at theta = 1/3"),
+    (2, "real_cone_lower_bound_at_1_3",
+     "exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves S > -1 on the all-real cone at theta = 1/3"),
     (2, "sharp_point_excess_at_0_32",
      "exact S at the boundary triplet well above 1 at theta = 0.32"),
-    (2, "real_grid_max_at_1_2", "max |S| over the all-real cone grid at theta = 1/2"),
+    (2, "real_cone_lower_bound_at_1_2",
+     "exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves S > -1 on the all-real cone at theta = 1/2"),
     (3, "cubic_coefficient_at_0_38", "exact coefficient vs closed form -0.304"),
     (3, "error_term_negative_at_0_38",
      "negative cubic term: not stable on this family (theta < 2/5)"),
@@ -678,6 +724,8 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
         "imaginary_axis_coeff_negative_at_0_24": float(_c1(0.24)),
         "real_cone_upper_bound_at_1_3": 0.0,
         "real_cone_upper_bound_at_1_2": -4.0,
+        "real_cone_lower_bound_at_1_3": 3.0,
+        "real_cone_lower_bound_at_1_2": 3.0,
         "sharp_point_excess_at_0_32": 1.1953125,
         "ratio_argmax_at_2": 2.0,
         "ratio_max_is_5_12": 5.0 / 12.0,
@@ -689,7 +737,7 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
 #: Calls of each shared computation that `verify_theorem(n)` makes, by n.
 _VERIFY_WORK = {
     1: {"thm1_threshold_scan": 0, "certificates.thm1_coefficient": 4},
-    2: {"thm2_real_grid_scan": 2, "certificates.thm2_upper": 2},
+    2: {"thm2_real_grid_scan": 0, "certificates.thm2_upper": 2, "certificates.thm2_lower": 2},
     3: {"certificates.thm3_cubic": 3},
     4: {"thm4_maximize": 1, "thm4_witness_search": 3},
     5: {"complex_z0_scan": 1},
