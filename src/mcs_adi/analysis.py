@@ -211,12 +211,18 @@ def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
     return best, wit
 
 
+def _check_theta(theta: float) -> None:
+    """DomainError unless 0 < theta < inf, in the words of `SchemeParams`."""
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+
+
 def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one theta")
-    if any(t <= 0.0 for t in thetas):
-        raise DomainError("theta values must be positive")
+    for t in thetas:
+        _check_theta(t)
     if samples <= 0:
         raise DomainError("samples must be positive")
 
@@ -325,15 +331,14 @@ class GridScanResult:
     witness: SpectralPoint
 
 
-def thm1_threshold_scan(
-    theta: float, points_per_decade: int = 200, threads: int | None = None
-) -> GridScanResult:
+def thm1_threshold_scan(theta: float, threads: int | None = None) -> GridScanResult:
     """Max |S(0, i b1, i b2)| over a log grid of pure-imaginary eigenvalues.
 
-    Magnitudes cover [1e-3, 1e3] with both signs; z0 = 0.  The maximum stays
-    at 1 exactly for theta >= 1/4 and exceeds it below.
+    Magnitudes cover [1e-3, 1e3] at 200 points per decade, with both signs;
+    z0 = 0.  The maximum stays at 1 exactly for theta >= 1/4 and exceeds it
+    below.
     """
-    mags = 10.0 ** np.linspace(-3.0, 3.0, 6 * points_per_decade + 1)
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
     z2 = 1j * b[None, :]
 
@@ -343,16 +348,15 @@ def thm1_threshold_scan(
     return GridScanResult(*_first_max(_pool_map(run, _row_slices(b.size, b.size), threads)))
 
 
-def thm2_real_grid_scan(
-    theta: float, points_per_decade: int = 40, t_points: int = 41, threads: int | None = None
-) -> GridScanResult:
+def thm2_real_grid_scan(theta: float, threads: int | None = None) -> GridScanResult:
     """Max |S| over all-real cone triplets on a log-magnitude grid.
 
-    z1, z2 run over -10^[-3, 3]; z0 = t * 2 sqrt(z1 z2) with t uniform on
-    [-1, 1].  The maximum is 1 for theta >= 1/3 and grows past 1.15 a short
-    distance below (the sharp family is z1 = z2 = -1/theta, t = -1).
+    z1, z2 run over -10^[-3, 3] at 40 points per decade; z0 = t * 2 sqrt(z1 z2)
+    with t on 41 equally spaced points of [-1, 1].  The maximum is 1 for
+    theta >= 1/3 and grows past 1.15 a short distance below (the sharp family
+    is z1 = z2 = -1/theta, t = -1).
     """
-    mags = 10.0 ** np.linspace(-3.0, 3.0, 6 * points_per_decade + 1)
+    mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
     z1 = -mags[:, None]
     z2 = -mags[None, :]
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
@@ -361,7 +365,7 @@ def thm2_real_grid_scan(
         t, rows = batch
         return _batch_max(theta, t * y[rows], z1[rows], z2)
 
-    batches = [(t, rows) for t in np.linspace(-1.0, 1.0, t_points)
+    batches = [(t, rows) for t in np.linspace(-1.0, 1.0, 41)
                for rows in _row_slices(mags.size, mags.size)]
     return GridScanResult(*_first_max(_pool_map(run, batches, threads)))
 
@@ -414,24 +418,20 @@ def thm4_maximize() -> tuple[float, float]:
     return 2.0, thm4_ratio(2.0)
 
 
-def thm4_witness_search(theta: float, x_grid=None, phi_grid=None) -> Optional[SpectralPoint]:
+def thm4_witness_search(theta: float) -> Optional[SpectralPoint]:
     """Cone triplet with |S| > 1, or None if the search family has none.
 
-    Family: z1 = z2 = -x/theta real, z0 on the cone boundary circle (radius
-    pulled in by one part in 1e12 so rounding cannot push it outside) at
-    small phase angles phi.  For theta below 5/12 this family exposes
-    instability; at and above 5/12 it does not.  A returned point is
-    re-verified against the cone condition and both evaluation forms.
+    Family: z1 = z2 = -x/theta real for 193 x in [0.2, 5], z0 on the cone
+    boundary circle (radius pulled in by one part in 1e12 so rounding cannot
+    push it outside) at the 24 phase angles +/-geomspace(0.005, 0.6, 12).
+    For theta below 5/12 this family exposes instability; at and above 5/12
+    it does not.  A returned point is re-verified against the cone condition
+    and both evaluation forms.
     """
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
-    if x_grid is None:
-        x_grid = np.linspace(0.2, 5.0, 193)
-    if phi_grid is None:
-        g = np.geomspace(0.005, 0.6, 12)
-        phi_grid = np.concatenate([-g[::-1], g])
-    z1 = (-np.asarray(x_grid, dtype=float) / theta)[:, None] + 0.0j
-    phi = np.asarray(phi_grid, dtype=float)[None, :]
+    _check_theta(theta)
+    g = np.geomspace(0.005, 0.6, 12)
+    z1 = (-np.linspace(0.2, 5.0, 193) / theta)[:, None] + 0.0j
+    phi = np.concatenate([-g[::-1], g])[None, :]
     z0 = (1.0 - 1e-12) * (2.0 * np.abs(z1.real)) * (np.cos(phi) + 1j * np.sin(phi))
     val, best = _batch_max(theta, z0, z1, z1)
     if not val > 1.0 + 1e-10:
@@ -595,6 +595,8 @@ def verify_theorem(
     """
     if n not in (1, 2, 3, 4, 5):
         raise DomainError(f"theorem number must be 1..5, got {n}")
+    if theta is not None:
+        _check_theta(theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
     checks = []

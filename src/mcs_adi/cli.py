@@ -7,6 +7,7 @@ Subcommands
     verify         named checks of the five stability thresholds
     amplification  one-step amplification of a Fourier mode, measured on the
                    stepper vs the closed form
+    convergence    errors and observed orders of the stepper under dt halving
 
 Exit codes: 0 success, 1 failed verification check, 2 usage/config error,
 3 numerical breakdown.  All numeric output carries 17 significant digits,
@@ -16,6 +17,7 @@ and every command is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_SAMPLES,
+    complex_z0_scan,
     default_theta_grid,
     figure1_scan,
     verify_theorem,
@@ -33,10 +36,12 @@ from .config import ConfigError, load_problem, make_initial_field
 from .solver import (
     SingularSystemError,
     build_split_operators,
+    default_convergence_problem,
     field_max_norm,
     get_step_function,
     mode_amplification,
     predicted_amplification,
+    run_convergence_study,
     write_field_csv,
 )
 from .spectrum import FourierMode, fourier_symbols
@@ -44,6 +49,9 @@ from .stability import DomainError
 
 #: Most theta values one figure1 scan takes (the default grid has 101).
 _MAX_THETAS = 10_000
+
+#: Most refinement levels of a convergence study (level N takes 8 * 2**(N-1) steps).
+_MAX_LEVELS = 12
 
 
 def _u64(text: str) -> int:
@@ -80,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.25)
     p.add_argument("--theta-max", type=float, default=0.5)
     p.add_argument("--theta-step", type=float, default=0.0025)
+    p.add_argument("--complex-z0", action="store_true", help="z0 with a uniform random phase")
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("verify", parents=[common], help="run threshold checks")
@@ -103,6 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("mcs", "douglas"), default="mcs")
     p.add_argument("--theta", type=float, default=None, help="override theta")
     p.set_defaults(func=cmd_amplification)
+
+    p = sub.add_parser("convergence", parents=[common], help="time-step refinement study")
+    p.add_argument("--scheme", choices=("mcs", "douglas"), default="mcs")
+    p.add_argument("--theta", type=float, action="append", help="repeatable (default 1/3 and 1/2)")
+    p.add_argument("--levels", type=int, default=4, help=f"refinement levels, 1..{_MAX_LEVELS}")
+    p.set_defaults(func=cmd_convergence)
     return parser
 
 
@@ -112,6 +127,11 @@ def _write_out(write, path, *data) -> None:
         write(path, *data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_positive(flag: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def _require_config(args) -> str:
@@ -156,8 +176,7 @@ def cmd_figure1(args) -> int:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
     for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max),
                         ("theta-step", args.theta_step)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
+        _check_positive(flag, value)
     if args.theta_max < args.theta_min:
         raise ConfigError("theta-max must be >= theta-min")
     if (args.theta_min, args.theta_max, args.theta_step) == (0.25, 0.5, 0.0025):
@@ -171,9 +190,8 @@ def cmd_figure1(args) -> int:
         if count > _MAX_THETAS:
             raise ConfigError(f"theta grid has more than {_MAX_THETAS} points; raise theta-step")
         thetas = tuple(args.theta_min + k * args.theta_step for k in range(count))
-    report = figure1_scan(
-        seed=args.seed, samples=args.samples, thetas=thetas, threads=args.threads
-    )
+    scan = complex_z0_scan if args.complex_z0 else figure1_scan
+    report = scan(seed=args.seed, samples=args.samples, thetas=thetas, threads=args.threads)
     broken = [t for t, mx in zip(report.thetas, report.max_abs_s) if not math.isfinite(mx)]
     if broken:
         print(f"numerical breakdown: |S| not finite at theta = {broken[0]:.17g}", file=sys.stderr)
@@ -190,8 +208,8 @@ def cmd_figure1(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
-    if args.theta is not None and not 0.0 < args.theta < math.inf:
-        raise ConfigError(f"theta must be positive and finite, got {args.theta!r}")
+    if args.theta is not None:
+        _check_positive("theta", args.theta)
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0
@@ -235,6 +253,31 @@ def cmd_amplification(args) -> int:
     print(f"predicted = {predicted.real:.17g}{predicted.imag:+.17g}j")
     print(f"abs_diff = {diff:.17g}")
     print(f"rel_diff = {rel:.17g}")
+    return 0
+
+
+def cmd_convergence(args) -> int:
+    if not 1 <= args.levels <= _MAX_LEVELS:
+        raise ConfigError(f"levels must be 1..{_MAX_LEVELS}, got {args.levels}")
+    thetas = args.theta or [1.0 / 3.0, 0.5]
+    for theta in thetas:
+        _check_positive("theta", theta)
+    csv = "scheme,theta,dt,max_error,observed_order\n"
+    # a blow-up overflows before validate_field or the residual guard reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta in thetas:
+            problem = dataclasses.replace(default_convergence_problem(), theta=theta)
+            try:
+                rows = run_convergence_study(problem, args.scheme, args.levels)
+            except (SingularSystemError, DomainError) as exc:
+                print(f"numerical breakdown at theta = {theta:.17g}: {exc}", file=sys.stderr)
+                return 3
+            csv += "".join(f"{args.scheme},{theta:.17g},{row.dt:.17g},{row.max_error:.17g},"
+                           f"{row.observed_order:.17g}\n" for row in rows)
+    if args.out is not None:
+        _write_out(Path.write_text, Path(args.out), csv, "utf-8")
+    else:
+        print(csv, end="")
     return 0
 
 

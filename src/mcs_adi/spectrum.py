@@ -139,30 +139,39 @@ class FourierMode:
         return phi1 * np.arange(grid.m1)[:, None] + phi2 * np.arange(grid.m2)[None, :]
 
 
+def _symbol_block(coeffs: PdeCoefficients, grid: GridSpec, dt: float, k1, k2):
+    """(z0, z1, z2) of the modes k1 x k2 (1-D wavenumber arrays), shaped to broadcast.
+
+    z1 and z2 are assembled from their real and imaginary parts, so a zero
+    part keeps the sign its formula gives.
+    """
+    phi1 = 2.0 * math.pi * k1 / grid.m1
+    phi2 = 2.0 * math.pi * k2 / grid.m2
+    s1, c1_ = np.sin(phi1)[:, None], np.cos(phi1)[:, None]
+    s2, c2_ = np.sin(phi2)[None, :], np.cos(phi2)[None, :]
+    a1, a2, b = grid.symbol_scales(dt)
+    z0 = coeffs.mixed_sum * b * (-s1 * s2 + grid.beta * (1.0 - c1_) * (1.0 - c2_))
+    z1 = np.empty(s1.shape, complex)
+    z1.real = -2.0 * coeffs.d11 * a1 * (1.0 - c1_)
+    z1.imag = coeffs.c1 * dt / grid.dx * s1
+    z2 = np.empty(s2.shape, complex)
+    z2.real = -2.0 * coeffs.d22 * a2 * (1.0 - c2_)
+    z2.imag = coeffs.c2 * dt / grid.dy * s2
+    return z0, z1, z2
+
+
 def fourier_symbols(
     coeffs: PdeCoefficients, grid: GridSpec, dt: float, mode: FourierMode
 ) -> SpectralPoint:
-    """Scaled eigenvalues (z0, z1, z2) of one Fourier mode.
+    """Scaled eigenvalues (z0, z1, z2) of one Fourier mode: entry (k1, k2) of the grid.
 
     z0 is real (the mixed stencil is symmetric under the simultaneous point
     reflection); z1 and z2 carry the convection terms in their imaginary
     parts.
     """
-    phi1, phi2 = mode.phases(grid)
-    a1, a2, b = grid.symbol_scales(dt)
-    z0 = coeffs.mixed_sum * b * (
-        -math.sin(phi1) * math.sin(phi2)
-        + grid.beta * (1.0 - math.cos(phi1)) * (1.0 - math.cos(phi2))
-    )
-    z1 = complex(
-        -2.0 * coeffs.d11 * a1 * (1.0 - math.cos(phi1)),
-        coeffs.c1 * dt / grid.dx * math.sin(phi1),
-    )
-    z2 = complex(
-        -2.0 * coeffs.d22 * a2 * (1.0 - math.cos(phi2)),
-        coeffs.c2 * dt / grid.dy * math.sin(phi2),
-    )
-    return SpectralPoint(z0, z1, z2)
+    mode.phases(grid)  # DomainError when the mode does not fit the grid
+    z0, z1, z2 = _symbol_block(coeffs, grid, dt, np.array([mode.k1]), np.array([mode.k2]))
+    return SpectralPoint(z0[0, 0], z1[0, 0], z2[0, 0])
 
 
 def fourier_symbol_grid(coeffs: PdeCoefficients, grid: GridSpec, dt: float):
@@ -172,17 +181,8 @@ def fourier_symbol_grid(coeffs: PdeCoefficients, grid: GridSpec, dt: float):
     z1 and z2 are complex.  Row/column order matches wavenumbers
     k1 = 0..m1-1, k2 = 0..m2-1.
     """
-    phi1 = 2.0 * math.pi * np.arange(grid.m1) / grid.m1
-    phi2 = 2.0 * math.pi * np.arange(grid.m2) / grid.m2
-    s1, c1_ = np.sin(phi1)[:, None], np.cos(phi1)[:, None]
-    s2, c2_ = np.sin(phi2)[None, :], np.cos(phi2)[None, :]
-    a1, a2, b = grid.symbol_scales(dt)
-    z0 = coeffs.mixed_sum * b * (-s1 * s2 + grid.beta * (1.0 - c1_) * (1.0 - c2_))
-    z1 = -2.0 * coeffs.d11 * a1 * (1.0 - c1_) + 1j * (coeffs.c1 * dt / grid.dx) * s1
-    z2 = -2.0 * coeffs.d22 * a2 * (1.0 - c2_) + 1j * (coeffs.c2 * dt / grid.dy) * s2
-    z1 = np.broadcast_to(z1, (grid.m1, grid.m2))
-    z2 = np.broadcast_to(z2, (grid.m1, grid.m2))
-    return z0, z1, z2
+    z0, z1, z2 = _symbol_block(coeffs, grid, dt, np.arange(grid.m1), np.arange(grid.m2))
+    return z0, np.broadcast_to(z1, grid.shape), np.broadcast_to(z2, grid.shape)
 
 
 @dataclass(frozen=True)

@@ -596,6 +596,18 @@ def test_witness_exists_below_threshold_only():
         thm4_witness_search(0.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: verify_theorem(3, theta=t),
+    lambda t: figure1_scan(samples=10, thetas=(0.3, t)),
+    lambda t: complex_z0_scan((t,), samples=10),
+    thm4_witness_search,
+], ids=["verify_theorem", "figure1_scan", "complex_z0_scan", "thm4_witness_search"])
+def test_theta_outside_the_positive_reals_is_a_domain_error(call, theta):
+    with pytest.raises(DomainError, match=f"^theta must be positive and finite, got {theta!r}$"):
+        call(theta)
+
+
 @pytest.mark.parametrize("theta", [0.3, 0.40, 0.41, 5.0 / 12.0, 0.45])
 def test_witness_search_matches_point_by_point_loop(theta):
     # Reference: the family walked one point at a time in x-major order,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import mcs_adi
-from mcs_adi.analysis import CheckResult
+from mcs_adi.analysis import CheckResult, complex_z0_scan
 from mcs_adi.cli import main
 from mcs_adi.config import (
     ConfigError,
@@ -21,7 +22,11 @@ from mcs_adi.config import (
     make_initial_field,
     parse_config_text,
 )
-from mcs_adi.solver import SingularSystemError
+from mcs_adi.solver import (
+    SingularSystemError,
+    default_convergence_problem,
+    run_convergence_study,
+)
 from mcs_adi.spectrum import GridSpec, fourier_symbol_grid
 from mcs_adi.stability import DomainError, stability_function
 
@@ -298,6 +303,21 @@ def test_figure1_cli_flag_validation(capsys):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_figure1_cli_complex_z0_matches_complex_scan(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["figure1", "--complex-z0", "--samples", "3000", "--seed", "7", "--theta-min", "0.4",
+            "--theta-max", "0.45", "--theta-step", "0.025", "--out", str(out)]
+    assert main(argv) == 0
+    report = complex_z0_scan([0.4 + k * 0.025 for k in range(3)], seed=7, samples=3000)
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [list(p) for p in zip(report.thetas, report.max_abs_s)]
+    assert [complex(row[2], row[3]) for row in rows] == [w.z0 for w in report.witnesses]
+    meta = (tmp_path / "scan.csv.meta").read_text().splitlines()
+    assert "complex_z0 = true" in meta and "seed = 7" in meta
+    assert main([a for a in argv if a != "--complex-z0"]) == 0  # the real-z0 scan
+    assert "complex_z0 = false" in (tmp_path / "scan.csv.meta").read_text().splitlines()
+
+
 def _run_module(*args):
     """(exit code, stderr lines) of `python -m mcs_adi ARGS`: numpy warnings included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcs_adi.__file__)))
@@ -331,6 +351,64 @@ def test_verify_cli_reports_overflowing_theta_as_numerical_breakdown(capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.splitlines() == want
     assert _run_module(*argv) == (3, want)
+
+
+# ------------------------------------------------------------ convergence CLI
+
+
+def _study_csv(scheme, thetas, levels):
+    """The convergence CSV, formatted here from `run_convergence_study`."""
+    lines = ["scheme,theta,dt,max_error,observed_order"]
+    for theta in thetas:
+        problem = dataclasses.replace(default_convergence_problem(), theta=theta)
+        lines += [f"{scheme},{theta:.17g},{r.dt:.17g},{r.max_error:.17g},{r.observed_order:.17g}"
+                  for r in run_convergence_study(problem, scheme, levels)]
+    return "\n".join(lines) + "\n"
+
+
+def test_convergence_cli_csv_matches_study(tmp_path, capsys):
+    assert main(["convergence", "--levels", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == _study_csv("mcs", (1.0 / 3.0, 0.5), 2)
+    assert len(out.splitlines()) == 5 and out.splitlines()[1].endswith(",nan")
+    path = tmp_path / "study.csv"
+    argv = ["convergence", "--scheme", "douglas", "--theta", "0.4", "--theta", "1",
+            "--levels", "3", "--out", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == _study_csv("douglas", (0.4, 1.0), 3)
+
+
+def test_convergence_cli_flag_validation(capsys):
+    for argv in (["--levels", "0"], ["--levels", "13"], ["--levels", "-1"], ["--theta", "0"],
+                 ["--theta", "nan"], ["--theta", "0.5", "--theta", "inf"]):
+        assert main(["convergence", *argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+    assert main(["convergence", "--scheme", "adi"]) == 2
+    capsys.readouterr()
+
+
+def test_convergence_cli_reports_numerical_breakdown(tmp_path, capsys, monkeypatch):
+    # theta = 1e200 makes the first stage matrix of the study singular
+    out = tmp_path / "study.csv"
+    argv = ["convergence", "--theta", "1e200", "--levels", "1", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical breakdown at theta = 9.99")
+    assert not out.exists()
+    for exc in (SingularSystemError("implicit sweep lost the pivot"),
+                DomainError("field contains non-finite entries")):
+        def broken_study(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr("mcs_adi.cli.run_convergence_study", broken_study)
+        assert main(["convergence", "--theta", "0.5"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical breakdown at theta = 0.5: {exc}"]
 
 
 # ----------------------------------------------------------------- verify CLI
@@ -392,8 +470,9 @@ def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "--config", None], ["figure1", "--samples", "10"], ["verify", "--theorem", "3"]],
-    ids=["solve", "figure1", "verify"],
+    [["solve", "--config", None], ["figure1", "--samples", "10"], ["verify", "--theorem", "3"],
+     ["convergence", "--levels", "1"]],
+    ids=["solve", "figure1", "verify", "convergence"],
 )
 def test_unwritable_out_is_a_usage_error(argv, config_path, tmp_path):
     argv = [config_path if a is None else a for a in argv]
@@ -503,6 +582,7 @@ _figure1_flags = hst.tuples(
     _flag("--theta-min", _cli_floats),
     _flag("--theta-max", _cli_floats),
     _flag("--theta-step", hst.one_of(_cli_floats, hst.floats(1e-6, 1e-3))),
+    hst.sampled_from([[], ["--complex-z0"]]),
 )
 _verify_flags = hst.tuples(
     hst.just(["verify"]),
@@ -510,20 +590,31 @@ _verify_flags = hst.tuples(
     hst.integers(-1, 3000).map(lambda n: ["--samples", str(n)]),
     _flag("--theta", _cli_floats),
 )
+# --levels is always given: the default of 4 runs 120 steps per theta
+_convergence_flags = hst.tuples(
+    hst.just(["convergence"]),
+    hst.integers(-1, 3).map(lambda n: ["--levels", str(n)]),
+    hst.lists(_cli_floats, max_size=2).map(lambda ts: [a for t in ts for a in ("--theta", str(t))]),
+    _flag("--scheme", hst.sampled_from(["mcs", "douglas", "adi"])),
+)
 
 
 @settings(max_examples=150, deadline=None)
 @example(
     command=(["figure1"], ["--samples", "10"], ["--theta-min", "1e200"],
-             ["--theta-max", "1e200"], []),
+             ["--theta-max", "1e200"], [], []),
     common=([], []), write_out=True,
 )
 @example(
     command=(["verify"], ["--theorem", "3"], ["--samples", "10"], ["--theta", "1e200"]),
     common=([], []), write_out=False,
 )
+@example(
+    command=(["convergence"], ["--levels", "1"], ["--theta", "1e308"], ["--scheme", "douglas"]),
+    common=([], []), write_out=True,
+)
 @given(
-    command=hst.one_of(_problem_command, _figure1_flags, _verify_flags),
+    command=hst.one_of(_problem_command, _figure1_flags, _verify_flags, _convergence_flags),
     common=_common_flags,
     write_out=hst.booleans(),
 )
