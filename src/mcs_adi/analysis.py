@@ -58,6 +58,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .stability import (
     DomainError,
     SpectralPoint,
@@ -309,8 +310,6 @@ def write_scan_csv(path, report: ScanReport) -> None:
                 f"{w.z1.real:.17g},{w.z1.imag:.17g},"
                 f"{w.z2.real:.17g},{w.z2.imag:.17g}\n"
             )
-    from . import __version__  # deferred: the package imports this module
-
     with open(path + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"seed = {report.seed}\n")
         fh.write(f"samples_per_theta = {report.samples_per_theta}\n")

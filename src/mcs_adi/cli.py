@@ -24,27 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_SAMPLES,
-    complex_z0_scan,
-    default_theta_grid,
-    figure1_scan,
-    verify_theorem,
-    write_scan_csv,
-)
-from .config import ConfigError, load_problem, make_initial_field
-from .solver import (
-    SingularSystemError,
-    build_split_operators,
-    default_convergence_problem,
-    field_max_norm,
-    get_step_function,
-    mode_amplification,
-    predicted_amplification,
-    run_convergence_study,
-    write_field_csv,
-)
-from .spectrum import FourierMode, fourier_symbols
+# lazy modules (see the package docstring): a command executes only the layers
+# whose attributes it reads, each on the calling thread before any worker starts
+from . import analysis, config, solver, spectrum
+from .config import ConfigError
 from .stability import DomainError
 
 #: Most theta values one figure1 scan takes (the default grid has 101).
@@ -61,6 +44,17 @@ def _u64(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one `error: ...` line (exit 2).
+
+    Subparsers take the class of the parser that adds them, so every
+    subcommand reports the same way; `--help` is unchanged.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
@@ -71,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", metavar="PATH", default=None, help="problem file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcs-adi",
         description="MCS ADI stepping for 2D convection-diffusion and its stability toolkit",
     )
@@ -84,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("figure1", parents=[common], help="max|S| Monte-Carlo scan per theta")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="samples per theta")
+    p.add_argument("--samples", type=int, default=None, help="samples per theta")
     p.add_argument("--theta-min", type=float, default=0.25)
     p.add_argument("--theta-max", type=float, default=0.5)
     p.add_argument("--theta-step", type=float, default=0.0025)
@@ -148,39 +142,40 @@ def cmd_solve(args) -> int:
         overrides["scheme"] = args.scheme
     if args.theta is not None:
         overrides["theta"] = args.theta
-    setup = load_problem(_require_config(args), overrides)
+    setup = config.load_problem(_require_config(args), overrides)
     try:
-        ops = build_split_operators(setup.coeffs, setup.grid)
+        ops = solver.build_split_operators(setup.coeffs, setup.grid)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    step = get_step_function(setup.scheme)
-    u = make_initial_field(setup.grid, setup.initial)
+    step = solver.get_step_function(setup.scheme)
+    u = config.make_initial_field(setup.grid, setup.initial)
     print("step,max_norm")
-    print(f"0,{field_max_norm(u):.17g}")
+    print(f"0,{solver.field_max_norm(u):.17g}")
     # a blow-up overflows before validate_field or the residual guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, setup.steps + 1):
             try:
                 u = step(ops, setup.params, u)
-            except (SingularSystemError, DomainError) as exc:
+            except (solver.SingularSystemError, DomainError) as exc:
                 print(f"numerical breakdown at step {n}: {exc}", file=sys.stderr)
                 return 3
-            print(f"{n},{field_max_norm(u):.17g}")
+            print(f"{n},{solver.field_max_norm(u):.17g}")
     if args.out is not None:
-        _write_out(write_field_csv, args.out, u)
+        _write_out(solver.write_field_csv, args.out, u)
     return 0
 
 
 def cmd_figure1(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {args.samples}")
+    samples = analysis.DEFAULT_SAMPLES if args.samples is None else args.samples
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max),
                         ("theta-step", args.theta_step)):
         _check_positive(flag, value)
     if args.theta_max < args.theta_min:
         raise ConfigError("theta-max must be >= theta-min")
     if (args.theta_min, args.theta_max, args.theta_step) == (0.25, 0.5, 0.0025):
-        thetas = default_theta_grid()
+        thetas = analysis.default_theta_grid()
     else:
         steps = (args.theta_max - args.theta_min) / args.theta_step
         # compared as a float first: a subnormal theta-step makes steps = inf;
@@ -190,14 +185,14 @@ def cmd_figure1(args) -> int:
         if count > _MAX_THETAS:
             raise ConfigError(f"theta grid has more than {_MAX_THETAS} points; raise theta-step")
         thetas = tuple(args.theta_min + k * args.theta_step for k in range(count))
-    scan = complex_z0_scan if args.complex_z0 else figure1_scan
-    report = scan(seed=args.seed, samples=args.samples, thetas=thetas, threads=args.threads)
+    scan = analysis.complex_z0_scan if args.complex_z0 else analysis.figure1_scan
+    report = scan(seed=args.seed, samples=samples, thetas=thetas, threads=args.threads)
     broken = [t for t, mx in zip(report.thetas, report.max_abs_s) if not math.isfinite(mx)]
     if broken:
         print(f"numerical breakdown: |S| not finite at theta = {broken[0]:.17g}", file=sys.stderr)
         return 3
     if args.out is not None:
-        _write_out(write_scan_csv, args.out, report)
+        _write_out(analysis.write_scan_csv, args.out, report)
     else:
         print("theta,max_abs_s")
         for theta, mx in zip(report.thetas, report.max_abs_s):
@@ -214,7 +209,7 @@ def cmd_verify(args) -> int:
     rows = []
     failed = 0
     for n in numbers:
-        for res in verify_theorem(
+        for res in analysis.verify_theorem(
             n, seed=args.seed, samples=args.samples, threads=args.threads, theta=args.theta
         ):
             rows.append((n, res))
@@ -234,12 +229,13 @@ def cmd_amplification(args) -> int:
     overrides = {}
     if args.theta is not None:
         overrides["theta"] = args.theta
-    setup = load_problem(_require_config(args), overrides)
+    setup = config.load_problem(_require_config(args), overrides)
     try:
-        mode = FourierMode(args.k1, args.k2)
-        pt = fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, mode)
-        predicted = predicted_amplification(args.scheme, setup.params.theta, pt)
-        measured = mode_amplification(args.scheme, setup.coeffs, setup.grid, setup.params, mode)
+        mode = spectrum.FourierMode(args.k1, args.k2)
+        pt = spectrum.fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, mode)
+        predicted = solver.predicted_amplification(args.scheme, setup.params.theta, pt)
+        measured = solver.mode_amplification(
+            args.scheme, setup.coeffs, setup.grid, setup.params, mode)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     diff = abs(measured - predicted)
@@ -266,10 +262,10 @@ def cmd_convergence(args) -> int:
     # a blow-up overflows before validate_field or the residual guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for theta in thetas:
-            problem = dataclasses.replace(default_convergence_problem(), theta=theta)
+            problem = dataclasses.replace(solver.default_convergence_problem(), theta=theta)
             try:
-                rows = run_convergence_study(problem, args.scheme, args.levels)
-            except (SingularSystemError, DomainError) as exc:
+                rows = solver.run_convergence_study(problem, args.scheme, args.levels)
+            except (solver.SingularSystemError, DomainError) as exc:
                 print(f"numerical breakdown at theta = {theta:.17g}: {exc}", file=sys.stderr)
                 return 3
             csv += "".join(f"{args.scheme},{theta:.17g},{row.dt:.17g},{row.max_error:.17g},"

@@ -197,7 +197,7 @@ def test_solve_cli_reports_numerical_breakdown(config_path, capsys, monkeypatch)
         def broken_step(*_args, **_kwargs):
             raise exc
 
-        monkeypatch.setattr("mcs_adi.cli.get_step_function", lambda scheme: broken_step)
+        monkeypatch.setattr("mcs_adi.solver.get_step_function", lambda scheme: broken_step)
         assert main(["solve", "--config", config_path]) == 3
         assert capsys.readouterr().err.splitlines() == [f"numerical breakdown at step 1: {exc}"]
 
@@ -236,6 +236,29 @@ def test_solve_cli_stiff_psd_problem_matches_closed_form(tmp_path, capsys):
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     got = rows[:, 2].reshape(setup.grid.shape)
     assert float(np.max(np.abs(got - want))) <= 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["mcs", "douglas"])
+def test_amplification_cli_stiff_problem_has_no_false_breakdown(scheme, tmp_path, capsys):
+    # the stiff problem above, one Fourier mode at a time: the large k = 0
+    # entries of the dense inverses cancel against a one-mode rhs, which missed
+    # the backward-error check on most modes until a solve was refined once
+    path = tmp_path / "stiff.cfg"
+    path.write_text(
+        "m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\nc1 = 1\nd11 = 0.05\nd22 = 0.05\n"
+        "theta = 0.26\ndt = 1e6\nsteps = 3\ninitial = random:1\n"
+    )
+    worst = 0.0
+    for k1 in range(16):
+        for k2 in range(16):
+            argv = ["amplification", "--config", str(path), "--k1", str(k1), "--k2", str(k2),
+                    "--scheme", scheme]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, (k1, k2, captured.err)
+            out = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+            worst = max(worst, float(out["rel_diff"]))
+    assert worst <= 1e-8
 
 
 # ---------------------------------------------------------------- figure1 CLI
@@ -405,7 +428,7 @@ def test_convergence_cli_reports_numerical_breakdown(tmp_path, capsys, monkeypat
         def broken_study(*_args, **_kwargs):
             raise exc
 
-        monkeypatch.setattr("mcs_adi.cli.run_convergence_study", broken_study)
+        monkeypatch.setattr("mcs_adi.solver.run_convergence_study", broken_study)
         assert main(["convergence", "--theta", "0.5"]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"numerical breakdown at theta = 0.5: {exc}"]
@@ -462,7 +485,7 @@ def test_verify_cli_output_does_not_depend_on_threads(theorem, tmp_path, capsys)
 
 def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
     fake = [CheckResult("synthetic_check", 2.0, False, "forced failure")]
-    monkeypatch.setattr("mcs_adi.cli.verify_theorem", lambda *a, **k: fake)
+    monkeypatch.setattr("mcs_adi.analysis.verify_theorem", lambda *a, **k: fake)
     assert main(["verify", "--theorem", "1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "0/1 checks passed" in out
@@ -523,6 +546,25 @@ def test_amplification_cli_bad_mode(config_path, capsys):
 def test_cli_requires_subcommand(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["figure1", "--samples", "x"], ["convergence", "--scheme", "adi"],
+     ["solve", "--no-such-flag"]],
+    ids=["bad-int", "bad-choice", "unknown-flag"],
+)
+def test_usage_errors_are_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    assert main(["figure1", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mcs-adi figure1 ") and captured.err == ""
 
 
 def test_module_entry_point(config_path):
@@ -641,3 +683,53 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(command, common, writ
             code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------- lazy layers
+
+_LAYER_PROBE = """\
+import contextlib, io, sys, types
+from mcs_adi.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+executed = [m for m in ("stability", "spectrum", "config", "solver", "analysis")
+            if type(sys.modules["mcs_adi." + m]) is types.ModuleType]
+print(code, "concurrent.futures" in sys.modules, *executed)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, futures, executed",
+    [(["solve", "--steps", "2"], False, ["stability", "spectrum", "config", "solver"]),
+     (["figure1", "--samples", "1000", "--threads", "1"], True,
+      ["stability", "spectrum", "config", "analysis"]),
+     (["verify", "--theorem", "1", "--threads", "1"], True,
+      ["stability", "spectrum", "config", "analysis"])],
+    ids=["solve", "figure1", "verify"],
+)
+def test_commands_execute_only_the_layers_they_run(command, futures, executed, tmp_path):
+    # the layers are registered in sys.modules unexecuted; `solve` never runs
+    # `analysis` (nor imports its thread pool), `figure1` and `verify` never `solver`
+    path = tmp_path / "problem.cfg"
+    path.write_text("m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\ndt = 0.01\ntheta = 0.5\n"
+                    "d11 = 0.05\nd22 = 0.05\nd12 = 0.01\ninitial = random:1\n")
+    if command[0] == "solve":
+        command = command + ["--config", str(path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcs_adi.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *command], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0", str(futures), *executed], proc.stderr
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    namespace = {}
+    exec("from mcs_adi import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mcs_adi.__all__)
+    for name in mcs_adi.__all__:
+        if name == "__version__":
+            continue
+        obj = namespace[name]
+        assert obj.__module__.startswith("mcs_adi.")
+        assert getattr(sys.modules[obj.__module__], name) is obj is getattr(mcs_adi, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mcs_adi.no_such_name
