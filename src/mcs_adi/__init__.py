@@ -14,14 +14,16 @@ The package has two halves that check each other:
 `cli` exposes both halves as the ``mcs-adi`` command.
 
 Importing the package runs none of the layer modules.  `stability`,
-`spectrum`, `config`, `solver` and `analysis` are registered in
-`sys.modules` and as package attributes by `importlib.util.LazyLoader`,
-and each one executes on the first access to one of its attributes; the
-names of `__all__` resolve through the module `__getattr__` (PEP 562).  So
-a command compiles and runs only the layers it calls: `solve` never loads
-`analysis` (nor `concurrent.futures`), and `figure1` and `verify` never
-load `solver`.  Before Python 3.12 a lazy module has no lock, so code that
-starts threads touches every layer they use on its own thread first.
+`spectrum`, `config`, `solver`, `analysis` and `certificates` are
+registered in `sys.modules` and as package attributes by
+`importlib.util.LazyLoader`, and each one executes on the first access to
+one of its attributes; the names of `__all__` resolve through the module
+`__getattr__` (PEP 562).  So a command compiles and runs only the layers it
+calls: `solve` never loads `analysis` (nor `concurrent.futures`), `figure1`
+and `verify` never load `solver`, and only a certificate loads
+`certificates` (with `fractions`).  Before Python 3.12 a lazy module has no
+lock, so code that starts threads touches every layer they use on its own
+thread first.
 """
 
 import importlib.util
@@ -45,6 +47,7 @@ spectrum = _register_lazily("spectrum")
 config = _register_lazily("config")
 solver = _register_lazily("solver")
 analysis = _register_lazily("analysis")
+certificates = _register_lazily("certificates")
 
 #: Public name -> the layer module that defines it.
 _EXPORTS = {

@@ -58,10 +58,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, certificates
 from .stability import (
     DomainError,
     SpectralPoint,
+    check_theta,
     cone_condition,
     eval_stability_function,
     imaginary_axis_margin,
@@ -212,18 +213,12 @@ def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
     return best, wit
 
 
-def _check_theta(theta: float) -> None:
-    """DomainError unless 0 < theta < inf, in the words of `SchemeParams`."""
-    if not 0.0 < theta < math.inf:
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-
-
 def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one theta")
     for t in thetas:
-        _check_theta(t)
+        check_theta(t)
     if samples <= 0:
         raise DomainError("samples must be positive")
 
@@ -386,8 +381,6 @@ def thm3_cubic_coefficient(theta: float) -> float:
     C is computed exactly, from |S|^2 - 1 = (|N|^2 - |D|^2) / |D|^2 with
     |D|^2 = 1 + O(a), and rounded to a float.
     """
-    from . import certificates  # deferred: see the `certificates` docstring
-
     return certificates.thm3_cubic(theta)[0]
 
 
@@ -411,8 +404,6 @@ def thm4_maximize() -> tuple[float, float]:
     `certificates.thm4_certify` proves ratio <= 5/12 on x >= 0 with equality
     only at x = 2; raises ArithmeticError if its identity fails.
     """
-    from . import certificates  # deferred: see the `certificates` docstring
-
     certificates.thm4_certify()
     return 2.0, thm4_ratio(2.0)
 
@@ -427,7 +418,7 @@ def thm4_witness_search(theta: float) -> Optional[SpectralPoint]:
     it does not.  A returned point is re-verified against the cone condition
     and both evaluation forms.
     """
-    _check_theta(theta)
+    check_theta(theta)
     g = np.geomspace(0.005, 0.6, 12)
     z1 = (-np.linspace(0.2, 5.0, 193) / theta)[:, None] + 0.0j
     phi = np.concatenate([-g[::-1], g])[None, :]
@@ -487,14 +478,12 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
     the cubic coefficient or an all-real cone certificate at one theta, the
     ratio maximum -- is computed once per call.
     """
-    from . import certificates as cert  # deferred: see the `certificates` docstring
-
     scan = functools.cache(
         lambda: complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
     )
-    cubic = functools.cache(lambda th: cert.thm3_cubic(th))
-    upper = functools.cache(lambda th: cert.thm2_upper(th))
-    lower = functools.cache(lambda th: cert.thm2_lower(th))
+    cubic = functools.cache(lambda th: certificates.thm3_cubic(th))
+    upper = functools.cache(lambda th: certificates.thm2_upper(th))
+    lower = functools.cache(lambda th: certificates.thm2_lower(th))
     ratio_max = functools.cache(lambda: thm4_maximize())
     lower_rows = [(2, f"real_cone_lower_bound_at_{t.replace('/', '_')}", lambda t=t: lower(t)[0],
                    lambda m, t=t: lower(t)[1], f"exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves "
@@ -509,7 +498,7 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
          lambda m: m >= 0.0, "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
         (1, "margin_negative_below_1_4", lambda: imaginary_axis_margin(0.24), lambda m: m < 0.0,
          "criterion margin < 0 at theta = 0.24"),
-        *[(1, f"imaginary_axis_coeff_{tag}", lambda t=t: cert.thm1_coefficient(t),
+        *[(1, f"imaginary_axis_coeff_{tag}", lambda t=t: certificates.thm1_coefficient(t),
            lambda m, t=t: (m < 0.0) == (t < 0.25),
            f"exact |D|^2 - |N|^2 = c (b1 + b2)^4 on the imaginary axis, "
            f"c {op} 0 at theta = {t:.6g}")
@@ -526,7 +515,7 @@ def _check_rows(seed, samples, threads, theta) -> list[tuple]:
           for t in ("1/3", "1/2")],
         lower_rows[0],
         (2, "sharp_point_excess_at_0_32",
-         lambda: cert.exact_real_s(0.32, thm2_sharp_point(0.32)), lambda m: m >= 1.15,
+         lambda: certificates.exact_real_s(0.32, thm2_sharp_point(0.32)), lambda m: m >= 1.15,
          "exact S at the boundary triplet well above 1 at theta = 0.32"),
         lower_rows[1],
     ]
@@ -595,7 +584,7 @@ def verify_theorem(
     if n not in (1, 2, 3, 4, 5):
         raise DomainError(f"theorem number must be 1..5, got {n}")
     if theta is not None:
-        _check_theta(theta)
+        check_theta(theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
     checks = []

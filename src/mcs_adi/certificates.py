@@ -3,8 +3,8 @@
 A polynomial is a list of coefficients (index = power), a complex one a
 (re, im) pair of them.  `mcs_parts` expands S = N/D exactly, and each thmN_*
 certificate proves one polynomial identity, raising ArithmeticError when it
-fails.  `analysis` imports this module only when a certificate runs, so the
-other commands neither compile it nor load `fractions` and `decimal`.
+fails.  The package registers this module lazily, so it runs, and loads
+`fractions` and `decimal`, only when a certificate does.
 """
 
 from __future__ import annotations

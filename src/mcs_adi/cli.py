@@ -9,9 +9,15 @@ Subcommands
                    stepper vs the closed form
     convergence    errors and observed orders of the stepper under dt halving
 
-Exit codes: 0 success, 1 failed verification check, 2 usage/config error,
-3 numerical breakdown.  All numeric output carries 17 significant digits,
-and every command is deterministic given its flags.
+Each subcommand takes only the flags it reads.  `solve` and `amplification`
+need `--config PATH`, and their `--scheme` and `--theta` (and `solve`'s
+`--steps`) override the file's keys; `figure1` and `verify` take `--seed`
+and `--threads`; every subcommand but `amplification` takes `--out PATH`.
+
+Exit codes: 0 success, 1 failed verification check, 2 usage/config error
+(an --out in a missing directory among them), 3 numerical breakdown.  All
+numeric output carries 17 significant digits, and every command is
+deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -56,14 +62,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
-    common.add_argument("--seed", type=_u64, default=0, help="RNG seed (default 0)")
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--seed", type=_u64, default=0, help="RNG seed (default 0)")
+    pool.add_argument(
         "--threads", type=int, default=None, metavar="N",
         help="worker threads (default: machine parallelism; results do not depend on it)",
     )
-    common.add_argument("--config", metavar="PATH", default=None, help="problem file")
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--config", metavar="PATH", required=True, help="problem file")
+    problem.add_argument("--scheme", choices=("mcs", "douglas"), default=None,
+                         help="override the file's scheme")
+    problem.add_argument("--theta", type=float, default=None, help="override the file's theta")
 
     parser = _Parser(
         prog="mcs-adi",
@@ -71,13 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="run a problem file")
-    p.add_argument("--steps", type=int, default=None, help="override step count")
-    p.add_argument("--scheme", choices=("mcs", "douglas"), default=None, help="override scheme")
-    p.add_argument("--theta", type=float, default=None, help="override theta")
+    p = sub.add_parser("solve", parents=[problem, out], help="run a problem file")
+    p.add_argument("--steps", type=int, default=None, help="override the file's step count")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("figure1", parents=[common], help="max|S| Monte-Carlo scan per theta")
+    p = sub.add_parser("figure1", parents=[pool, out], help="max|S| Monte-Carlo scan per theta")
     p.add_argument("--samples", type=int, default=None, help="samples per theta")
     p.add_argument("--theta-min", type=float, default=0.25)
     p.add_argument("--theta-max", type=float, default=0.5)
@@ -85,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex-z0", action="store_true", help="z0 with a uniform random phase")
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("verify", parents=[common], help="run threshold checks")
+    p = sub.add_parser("verify", parents=[pool, out], help="run threshold checks")
     p.add_argument(
         "--theorem", choices=("1", "2", "3", "4", "5", "all"), default="all",
         help="which threshold to check (default all)",
@@ -98,16 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "amplification", parents=[common],
+        "amplification", parents=[problem],
         help="measured vs closed-form one-step amplification of a Fourier mode",
     )
     p.add_argument("--k1", type=int, required=True, help="wavenumber along x")
     p.add_argument("--k2", type=int, required=True, help="wavenumber along y")
-    p.add_argument("--scheme", choices=("mcs", "douglas"), default="mcs")
-    p.add_argument("--theta", type=float, default=None, help="override theta")
     p.set_defaults(func=cmd_amplification)
 
-    p = sub.add_parser("convergence", parents=[common], help="time-step refinement study")
+    p = sub.add_parser("convergence", parents=[out], help="time-step refinement study")
     p.add_argument("--scheme", choices=("mcs", "douglas"), default="mcs")
     p.add_argument("--theta", type=float, action="append", help="repeatable (default 1/3 and 1/2)")
     p.add_argument("--levels", type=int, default=4, help=f"refinement levels, 1..{_MAX_LEVELS}")
@@ -128,21 +135,14 @@ def _check_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
 
 
-def _require_config(args) -> str:
-    if args.config is None:
-        raise ConfigError(f"{args.command} requires --config PATH")
-    return args.config
+def _load_problem(args) -> config.ProblemSetup:
+    """The --config file, with each given --steps, --scheme or --theta in place of its key."""
+    flags = {key: getattr(args, key, None) for key in ("steps", "scheme", "theta")}
+    return config.load_problem(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_solve(args) -> int:
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.theta is not None:
-        overrides["theta"] = args.theta
-    setup = config.load_problem(_require_config(args), overrides)
+    setup = _load_problem(args)
     try:
         ops = solver.build_split_operators(setup.coeffs, setup.grid)
     except DomainError as exc:
@@ -226,22 +226,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_amplification(args) -> int:
-    overrides = {}
-    if args.theta is not None:
-        overrides["theta"] = args.theta
-    setup = config.load_problem(_require_config(args), overrides)
+    setup = _load_problem(args)
     try:
         mode = spectrum.FourierMode(args.k1, args.k2)
         pt = spectrum.fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, mode)
-        predicted = solver.predicted_amplification(args.scheme, setup.params.theta, pt)
+        predicted = solver.predicted_amplification(setup.scheme, setup.params.theta, pt)
         measured = solver.mode_amplification(
-            args.scheme, setup.coeffs, setup.grid, setup.params, mode)
+            setup.scheme, setup.coeffs, setup.grid, setup.params, mode)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     diff = abs(measured - predicted)
     rel = diff / max(1e-300, abs(predicted))
     print(f"mode = {args.k1},{args.k2}")
-    print(f"scheme = {args.scheme}")
+    print(f"scheme = {setup.scheme}")
     print(f"z0 = {pt.z0.real:.17g}{pt.z0.imag:+.17g}j")
     print(f"z1 = {pt.z1.real:.17g}{pt.z1.imag:+.17g}j")
     print(f"z2 = {pt.z2.real:.17g}{pt.z2.imag:+.17g}j")

@@ -47,6 +47,13 @@ class PoleError(ArithmeticError):
     """Evaluation requested too close to a pole of the amplification factor."""
 
 
+def check_theta(theta) -> None:
+    """DomainError unless 0 < theta < inf; an array must hold there elementwise."""
+    t = np.asarray(theta)
+    if not (np.all(t > 0.0) and np.all(t < math.inf)):
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Scheme parameter theta and time step of one splitting run."""
@@ -55,8 +62,7 @@ class SchemeParams:
     dt: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.inf:
-            raise DomainError(f"theta must be positive and finite, got {self.theta!r}")
+        check_theta(self.theta)
         if not 0.0 < self.dt < math.inf:
             raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
 
@@ -86,16 +92,6 @@ class SpectralPoint:
     def p(self, theta: float) -> complex:
         """Implicit-stage denominator (1 - theta*z1)(1 - theta*z2)."""
         return (1.0 - theta * self.z1) * (1.0 - theta * self.z2)
-
-    def q(self, theta: float) -> complex:
-        """Constant term p^2 + p*z + (1/2 - theta)*z^2 of the z0-quadratic."""
-        p = self.p(theta)
-        z = self.z
-        return p * p + p * z + (0.5 - theta) * z * z
-
-    def w(self, theta: float) -> complex:
-        """Linear coefficient p + (1 - theta)*z of the z0-quadratic."""
-        return self.p(theta) + (1.0 - theta) * self.z
 
 
 def stability_function(theta, z0, z1, z2, work=None, zz=None):
@@ -198,13 +194,12 @@ def lemma2_gap(theta, z1, z2):
     theta, where |p/(2 theta)| is huge.
 
     Accepts scalars or broadcasting numpy arrays; raises DomainError when
-    any real part is positive or theta is not positive.
+    any real part is positive or theta is not positive and finite.
     """
+    check_theta(theta)
     theta_a = np.asarray(theta, dtype=float)
     z1a = np.asarray(z1, dtype=complex)
     z2a = np.asarray(z2, dtype=complex)
-    if np.any(theta_a <= 0.0):
-        raise DomainError("theta must be positive")
     if np.any(z1a.real > 0.0) or np.any(z2a.real > 0.0):
         raise DomainError("lemma2_gap requires Re z1 <= 0 and Re z2 <= 0")
     z = z1a + z2a
@@ -229,8 +224,7 @@ def thm5_bound(theta, r, phi):
     r_arr = np.asarray(r, dtype=float)
     if np.any((r_arr < 0.0) | (r_arr > 1.0)):
         raise DomainError("r must lie in [0, 1]")
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
+    check_theta(theta)
     one_m_r = 1.0 - r_arr
     e = r_arr * np.exp(1j * np.asarray(phi, dtype=float)) - 1.0
     f1 = np.abs(2.0 * theta + (1.0 - theta) * e)

@@ -41,7 +41,9 @@ from mcs_adi.stability import (
     SpectralPoint,
     cone_condition,
     eval_stability_function,
+    lemma2_gap,
     stability_function,
+    thm5_bound,
 )
 
 SMALL = 70_000  # spans two sampling blocks, keeps the module quick
@@ -371,10 +373,11 @@ def test_all_real_cone_certificate_proves_s_at_most_1_from_one_third(theta, disc
 
 
 def test_certificates_load_only_when_a_certificate_runs():
-    # every command imports `analysis`; compiling the certificates and loading
-    # `decimal` with `fractions` is left to the commands that prove something
-    code = ("import sys; from mcs_adi.cli import main; main(['verify', '--help']); "
-            "print(*(m in sys.modules for m in ('mcs_adi.certificates', 'fractions', 'decimal')))")
+    # `certificates` is registered unexecuted like every layer; running it and
+    # loading `decimal` with `fractions` is left to the commands that prove something
+    code = ("import sys, types; from mcs_adi.cli import main; main(['verify', '--help']); "
+            "print(type(sys.modules['mcs_adi.certificates']) is types.ModuleType, "
+            "*(m in sys.modules for m in ('fractions', 'decimal')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
@@ -602,7 +605,10 @@ def test_witness_exists_below_threshold_only():
     lambda t: figure1_scan(samples=10, thetas=(0.3, t)),
     lambda t: complex_z0_scan((t,), samples=10),
     thm4_witness_search,
-], ids=["verify_theorem", "figure1_scan", "complex_z0_scan", "thm4_witness_search"])
+    lambda t: lemma2_gap(t, -1.0 + 0.0j, -1.0 + 0.0j),
+    lambda t: thm5_bound(t, 0.5, 0.0),
+], ids=["verify_theorem", "figure1_scan", "complex_z0_scan", "thm4_witness_search",
+        "lemma2_gap", "thm5_bound"])
 def test_theta_outside_the_positive_reals_is_a_domain_error(call, theta):
     with pytest.raises(DomainError, match=f"^theta must be positive and finite, got {theta!r}$"):
         call(theta)

@@ -25,9 +25,10 @@ from mcs_adi.config import (
 from mcs_adi.solver import (
     SingularSystemError,
     default_convergence_problem,
+    predicted_amplification,
     run_convergence_study,
 )
-from mcs_adi.spectrum import GridSpec, fourier_symbol_grid
+from mcs_adi.spectrum import FourierMode, GridSpec, fourier_symbol_grid, fourier_symbols
 from mcs_adi.stability import DomainError, stability_function
 
 BASE_CONFIG = """\
@@ -175,7 +176,8 @@ def test_solve_cli_scheme_override(config_path, capsys):
 
 def test_solve_cli_usage_errors(tmp_path, capsys):
     assert main(["solve"]) == 2
-    assert "requires --config" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "required: --config" in err[0]
     bad = tmp_path / "bad.cfg"
     bad.write_text("m1 = 8\n")  # missing most required keys
     assert main(["solve", "--config", str(bad)]) == 2
@@ -538,6 +540,23 @@ def test_amplification_cli_douglas(config_path, capsys):
     assert float(out["rel_diff"]) < 1e-12
 
 
+def test_amplification_cli_takes_the_scheme_from_the_file(tmp_path, capsys):
+    path = tmp_path / "douglas.cfg"
+    path.write_text(BASE_CONFIG + "scheme = douglas\n")
+    argv = ["amplification", "--config", str(path), "--k1", "1", "--k2", "2"]
+    setup = load_problem(str(path))
+    pt = fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, FourierMode(1, 2))
+    assert predicted_amplification("douglas", setup.params.theta, pt) != \
+        predicted_amplification("mcs", setup.params.theta, pt)
+    for flags, scheme in (([], "douglas"), (["--scheme", "mcs"], "mcs")):
+        assert main(argv + flags) == 0
+        out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["scheme"] == scheme
+        predicted = predicted_amplification(scheme, setup.params.theta, pt)
+        assert out["predicted"] == f"{predicted.real:.17g}{predicted.imag:+.17g}j"
+        assert float(out["rel_diff"]) < 1e-12
+
+
 def test_amplification_cli_bad_mode(config_path, capsys):
     assert main(["amplification", "--config", config_path, "--k1", "99", "--k2", "0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -559,6 +578,31 @@ def test_usage_errors_are_one_line(argv, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+
+
+#: Flags a subcommand does not read, and so does not take.
+_FOREIGN_FLAGS = [
+    ("solve", "--seed", "1"), ("solve", "--threads", "1"),
+    ("figure1", "--config", "x.cfg"), ("verify", "--config", "x.cfg"),
+    ("amplification", "--out", "x.csv"), ("amplification", "--seed", "1"),
+    ("amplification", "--threads", "1"),
+    ("convergence", "--config", "x.cfg"), ("convergence", "--seed", "1"),
+    ("convergence", "--threads", "1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _FOREIGN_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in _FOREIGN_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, value, config_path,
+                                                           capsys):
+    argv = {"solve": ["solve", "--config", config_path],
+            "amplification": ["amplification", "--config", config_path, "--k1", "1", "--k2", "0"],
+            }.get(command, [command])
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+    assert flag in err[0]
 
 
 def test_help_prints_usage_and_exits_zero(capsys):
@@ -606,10 +650,8 @@ def _flag(name, values):
     return hst.one_of(hst.just([]), values.map(lambda v: [name, str(v)]))
 
 
-_common_flags = hst.tuples(
-    _flag("--seed", hst.integers(-1, 1 << 64)),
-    _flag("--threads", hst.integers(-1, 3)),
-)
+# figure1 and verify are the commands that take --seed and --threads
+_pool_flags = (_flag("--seed", hst.integers(-1, 1 << 64)), _flag("--threads", hst.integers(-1, 3)))
 _problem_command = hst.tuples(
     hst.sampled_from([["solve"], ["amplification", "--k1", "1", "--k2", "0"]]),
     _problem_text(),
@@ -625,12 +667,14 @@ _figure1_flags = hst.tuples(
     _flag("--theta-max", _cli_floats),
     _flag("--theta-step", hst.one_of(_cli_floats, hst.floats(1e-6, 1e-3))),
     hst.sampled_from([[], ["--complex-z0"]]),
+    *_pool_flags,
 )
 _verify_flags = hst.tuples(
     hst.just(["verify"]),
     hst.sampled_from(["0", "3", "4", "5"]).map(lambda n: ["--theorem", n]),
     hst.integers(-1, 3000).map(lambda n: ["--samples", str(n)]),
     _flag("--theta", _cli_floats),
+    *_pool_flags,
 )
 # --levels is always given: the default of 4 runs 120 steps per theta
 _convergence_flags = hst.tuples(
@@ -644,23 +688,22 @@ _convergence_flags = hst.tuples(
 @settings(max_examples=150, deadline=None)
 @example(
     command=(["figure1"], ["--samples", "10"], ["--theta-min", "1e200"],
-             ["--theta-max", "1e200"], [], []),
-    common=([], []), write_out=True,
+             ["--theta-max", "1e200"], [], [], [], []),
+    write_out=True,
 )
 @example(
-    command=(["verify"], ["--theorem", "3"], ["--samples", "10"], ["--theta", "1e200"]),
-    common=([], []), write_out=False,
+    command=(["verify"], ["--theorem", "3"], ["--samples", "10"], ["--theta", "1e200"], [], []),
+    write_out=False,
 )
 @example(
     command=(["convergence"], ["--levels", "1"], ["--theta", "1e308"], ["--scheme", "douglas"]),
-    common=([], []), write_out=True,
+    write_out=True,
 )
 @given(
     command=hst.one_of(_problem_command, _figure1_flags, _verify_flags, _convergence_flags),
-    common=_common_flags,
     write_out=hst.booleans(),
 )
-def test_cli_exits_with_a_documented_code_and_no_traceback(command, common, write_out):
+def test_cli_exits_with_a_documented_code_and_no_traceback(command, write_out):
     # theorems 1 and 2 scan fixed grids for seconds; 3-5 take the same CLI path
     with tempfile.TemporaryDirectory() as tmp:
         argv = []
@@ -671,9 +714,7 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(command, common, writ
                     fh.write(part)
                 part = ["--config", path]
             argv += part
-        for part in common:
-            argv += part
-        if write_out:
+        if write_out and argv[0] != "amplification":  # the only command without --out
             argv += ["--out", os.path.join(tmp, "out.csv")]
         err = io.StringIO()
         # overflow warnings of extreme inputs are expected here, not reported

@@ -46,15 +46,14 @@ def test_spectral_point_coercion_and_sum():
     assert pt.z == -2.0 + 3j
 
 
-def test_spectral_point_p_q_w_match_quadratic_form():
-    # p, q, w are exactly the pieces of the quadratic-in-z0 representation:
-    # S * p^2 = z0^2/2 + w*z0 + q
-    theta = 0.37
-    pt = SpectralPoint(0.3 - 0.1j, -1.2 + 0.4j, -0.5 - 2.0j)
-    p = pt.p(theta)
-    lhs = stability_function_quadratic(theta, pt.z0, pt.z1, pt.z2) * p * p
-    rhs = 0.5 * pt.z0 * pt.z0 + pt.w(theta) * pt.z0 + pt.q(theta)
-    assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
+def test_spectral_point_p_is_the_denominator_of_s():
+    # S * p^2 = z0^2/2 + w*z0 + q is a quadratic in z0 with leading
+    # coefficient 1/2, so its second difference with step h is exactly h^2
+    theta, h = 0.37, 0.25 - 0.5j
+    z1, z2 = -1.2 + 0.4j, -0.5 - 2.0j
+    p = SpectralPoint(0.0, z1, z2).p(theta)
+    lhs = [stability_function_quadratic(theta, 0.3 + k * h, z1, z2) * p * p for k in (-1, 0, 1)]
+    assert abs(lhs[0] - 2.0 * lhs[1] + lhs[2] - h * h) <= 1e-13 * max(1.0, abs(lhs[1]))
 
 
 # ------------------------------------------------------- stability function
