@@ -34,7 +34,7 @@ import numpy as np
 # whose attributes it reads, each on the calling thread before any worker starts
 from . import analysis, config, solver, spectrum
 from .config import ConfigError
-from .stability import DomainError
+from .stability import DomainError, check_theta
 
 #: Most theta values one figure1 scan takes (the default grid has 101).
 _MAX_THETAS = 10_000
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--config", metavar="PATH", required=True, help="problem file")
-    problem.add_argument("--scheme", choices=("mcs", "douglas"), default=None,
+    problem.add_argument("--scheme", choices=config.SCHEMES, default=None,
                          help="override the file's scheme")
     problem.add_argument("--theta", type=float, default=None, help="override the file's theta")
 
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_amplification)
 
     p = sub.add_parser("convergence", parents=[out], help="time-step refinement study")
-    p.add_argument("--scheme", choices=("mcs", "douglas"), default="mcs")
+    p.add_argument("--scheme", choices=config.SCHEMES, default="mcs")
     p.add_argument("--theta", type=float, action="append", help="repeatable (default 1/3 and 1/2)")
     p.add_argument("--levels", type=int, default=4, help=f"refinement levels, 1..{_MAX_LEVELS}")
     p.set_defaults(func=cmd_convergence)
@@ -143,10 +143,7 @@ def _load_problem(args) -> config.ProblemSetup:
 
 def cmd_solve(args) -> int:
     setup = _load_problem(args)
-    try:
-        ops = solver.build_split_operators(setup.coeffs, setup.grid)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    ops = solver.build_split_operators(setup.coeffs, setup.grid)
     step = solver.get_step_function(setup.scheme)
     u = config.make_initial_field(setup.grid, setup.initial)
     print("step,max_norm")
@@ -203,8 +200,6 @@ def cmd_figure1(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
-    if args.theta is not None:
-        _check_positive("theta", args.theta)
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0
@@ -227,14 +222,10 @@ def cmd_verify(args) -> int:
 
 def cmd_amplification(args) -> int:
     setup = _load_problem(args)
-    try:
-        mode = spectrum.FourierMode(args.k1, args.k2)
-        pt = spectrum.fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, mode)
-        predicted = solver.predicted_amplification(setup.scheme, setup.params.theta, pt)
-        measured = solver.mode_amplification(
-            setup.scheme, setup.coeffs, setup.grid, setup.params, mode)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    mode = spectrum.FourierMode(args.k1, args.k2)
+    pt = spectrum.fourier_symbols(setup.coeffs, setup.grid, setup.params.dt, mode)
+    predicted = solver.predicted_amplification(setup.scheme, setup.params.theta, pt)
+    measured = solver.mode_amplification(setup.scheme, setup.coeffs, setup.grid, setup.params, mode)
     diff = abs(measured - predicted)
     rel = diff / max(1e-300, abs(predicted))
     print(f"mode = {args.k1},{args.k2}")
@@ -254,7 +245,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"levels must be 1..{_MAX_LEVELS}, got {args.levels}")
     thetas = args.theta or [1.0 / 3.0, 0.5]
     for theta in thetas:
-        _check_positive("theta", theta)
+        check_theta(theta)
     csv = "scheme,theta,dt,max_error,observed_order\n"
     # a blow-up overflows before validate_field or the residual guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,7 +272,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # a bad file or flag, an argument off its domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # SingularSystemError, a non-finite verify result

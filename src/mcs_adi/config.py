@@ -29,7 +29,8 @@ _FLOAT_KEYS = ("c1", "c2", "d11", "d12", "d21", "d22", "beta", "dx", "dy", "dt",
 _INT_KEYS = ("m1", "m2", "steps")
 _STR_KEYS = ("scheme", "initial")
 _REQUIRED = ("m1", "m2", "dx", "dy", "dt", "theta")
-_SCHEMES = ("mcs", "douglas")
+#: The scheme names a problem file or a `--scheme` flag may give.
+SCHEMES = ("mcs", "douglas")
 
 
 class ConfigError(ValueError):
@@ -120,8 +121,8 @@ def load_problem(path, overrides: dict[str, str] | None = None) -> ProblemSetup:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     scheme = values.get("scheme", "mcs")
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     steps = values.get("steps", 1)
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")

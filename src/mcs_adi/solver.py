@@ -42,15 +42,18 @@ physical space.  A dense solve that fails the check by no more than the
 rounding of its product with the inverse explains is refined once with the
 same inverse and checked again.
 
-Periodic shifts are not rolled copies of the field.  The product
-weight * u[i - 1] along axis 0 reads row slices of u, and the wrap row on
-its own.  Along axis 1 it is one multiply over the field's rows taken as one
-flat array, which in the wrap column pairs each row with the last entry of
-the row above, followed by a strided multiply that redoes the wrap column;
-every operand is one-dimensional, so numpy needs no iterator buffers for
-it.  The mixed stencil reads its nine neighbours as views of a copy of the
-field with one periodic ghost layer on every side, and adds the neighbours
-that share a weight before multiplying, so A0 is four weighted sums
+Every tridiagonal product, A_j u for j = 1, 2 and M x of a stage matrix in
+the backward-error check and its refinement, is formed by one kernel as
+(diag u + sub u[i-1]) + sup u[i+1].  Its periodic shifts are not rolled
+copies of the field.  The product weight * u[i - 1] along axis 0 reads row
+slices of u, and the wrap row on its own.  Along axis 1 it is one multiply
+over the field's rows taken as one flat array, which in the wrap column
+pairs each row with the last entry of the row above, followed by a strided
+multiply that redoes the wrap column; every operand is one-dimensional, so
+numpy needs no iterator buffers for it.  The mixed stencil reads its nine
+neighbours as views of a copy of the field with one periodic ghost layer on
+every side, and adds the neighbours that share a weight before multiplying,
+so A0 is four weighted sums
 w++ (h++ + h--) + w-+ (h-+ + h+-) + we ((h+0 + h-0) + h0+ + h0-) + wc h00,
 with a group of weight zero left out.  Every sum is formed in the same
 order as with rolled copies, so the results are bit-identical to them.
@@ -60,7 +63,7 @@ at most _BAND_POINTS = 2^15 grid points, 256 KiB per float64 array, so that
 the operands and scratch of a band stay in a 2 MiB L2 cache between the
 passes over it, where a 512^2 field spills it.  A0 fills the halo of one
 band, of shape (B + 2, m2 + 2) for B rows, and sums on it; the check forms
-r = ((m_diag x + m_sup x[i+1]) + m_sub x[i-1]) - rhs on one band and takes
+r = ((m_diag x + m_sub x[i-1]) + m_sup x[i+1]) - rhs on one band and takes
 the max of |r|, |x| and |rhs| there before it reads the next.  A grid of
 at most _BAND_POINTS points is one band.  The FFTs, the matrix products
 and the stage sums of a step run on whole fields.  Each grid point gets the
@@ -121,53 +124,38 @@ class SingularSystemError(ArithmeticError):
 class SplitOperators:
     """Stencil coefficients of A0, A1, A2 on one grid.
 
-    The unidirectional stencils are (sub, diag, sup) triples; the mixed
-    stencil is a dict offset -> weight over the nine-point neighborhood,
-    with the beta-weighted combination of the two diagonal four-point
-    stencils:
+    Each unidirectional stencil is one (sub, diag, sup, n) entry, read
+    through directional_stencil(j).  The mixed stencil is the
+    beta-weighted combination of the two diagonal four-point stencils,
+    with four distinct weights over the nine-point neighborhood:
 
-        weight(+1,+1) = weight(-1,-1) = (1 + beta) s
-        weight(+1,-1) = weight(-1,+1) = -(1 - beta) s
-        weight(0,0) = 4 beta s,   edge midpoints  -2 beta s
+        (1 + beta) s     at (+1,+1) and (-1,-1)
+        -(1 - beta) s    at (-1,+1) and (+1,-1)
+        -2 beta s        at the edge midpoints (+-1,0) and (0,+-1)
+        4 beta s         at the centre (0,0)
 
-    where s = (d12 + d21) / (4 dx dy).
+    where s = (d12 + d21) / (4 dx dy).  A0 runs as one weighted sum per
+    weight over the offsets that share it; a group of weight zero is left
+    out (beta = 0 drops the centre and edges, beta = +-1 one diagonal pair).
     """
 
     def __init__(self, coeffs: PdeCoefficients, grid: GridSpec):
         self.coeffs = coeffs
         self.grid = grid
         dx, dy = grid.dx, grid.dy
-        self.x_sub = coeffs.d11 / dx**2 - coeffs.c1 / (2.0 * dx)
-        self.x_diag = -2.0 * coeffs.d11 / dx**2
-        self.x_sup = coeffs.d11 / dx**2 + coeffs.c1 / (2.0 * dx)
-        self.y_sub = coeffs.d22 / dy**2 - coeffs.c2 / (2.0 * dy)
-        self.y_diag = -2.0 * coeffs.d22 / dy**2
-        self.y_sup = coeffs.d22 / dy**2 + coeffs.c2 / (2.0 * dy)
+        self._stencils = {
+            j: (d / h**2 - c / (2.0 * h), -2.0 * d / h**2, d / h**2 + c / (2.0 * h), n)
+            for j, c, d, h, n in ((1, coeffs.c1, coeffs.d11, dx, grid.m1),
+                                  (2, coeffs.c2, coeffs.d22, dy, grid.m2))
+        }
         s = coeffs.mixed_sum / (4.0 * dx * dy)
         beta = grid.beta
-        self.mixed_weights = {
-            (1, 1): (1.0 + beta) * s,
-            (-1, -1): (1.0 + beta) * s,
-            (-1, 1): -(1.0 - beta) * s,
-            (1, -1): -(1.0 - beta) * s,
-            (0, 0): 4.0 * beta * s,
-            (1, 0): -2.0 * beta * s,
-            (-1, 0): -2.0 * beta * s,
-            (0, 1): -2.0 * beta * s,
-            (0, -1): -2.0 * beta * s,
-        }
-        stencil = (self.x_sub, self.x_diag, self.x_sup, self.y_sub, self.y_diag, self.y_sup)
-        if not all(map(math.isfinite, stencil + tuple(self.mixed_weights.values()))):
+        weights = ((1.0 + beta) * s, -(1.0 - beta) * s, -2.0 * beta * s, 4.0 * beta * s)
+        if not all(map(math.isfinite, self._stencils[1][:3] + self._stencils[2][:3] + weights)):
             raise DomainError("stencil coefficients overflow (d/dx^2, c/dx or d12/(dx dy))")
-        # A0 as weighted sums of the offsets that share a weight; beta = 0 drops
-        # the centre and edges, beta = +-1 one diagonal pair
-        w = self.mixed_weights
-        self._mixed_groups = tuple((weight, offsets) for weight, offsets in (
-            (w[1, 1], ((1, 1), (-1, -1))),
-            (w[-1, 1], ((-1, 1), (1, -1))),
-            (w[1, 0], ((1, 0), (-1, 0), (0, 1), (0, -1))),
-            (w[0, 0], ((0, 0),)),
-        ) if weight != 0.0)
+        offsets = (((1, 1), (-1, -1)), ((-1, 1), (1, -1)), ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                   ((0, 0),))
+        self._mixed_groups = tuple((w, o) for w, o in zip(weights, offsets) if w != 0.0)
         self._stages: dict[tuple[int, float], _Stage] = {}
         self._local = threading.local()
 
@@ -180,10 +168,8 @@ class SplitOperators:
 
     def directional_stencil(self, j: int) -> tuple[float, float, float, int]:
         """(sub, diag, sup, n) of the implicit direction j in {1, 2}."""
-        if j == 1:
-            return (self.x_sub, self.x_diag, self.x_sup, self.grid.m1)
-        if j == 2:
-            return (self.y_sub, self.y_diag, self.y_sup, self.grid.m2)
+        if j in (1, 2):
+            return self._stencils[j]
         raise DomainError(f"implicit direction must be 1 or 2, got {j}")
 
     def _stage(self, j: int, theta_dt: float) -> _Stage:
@@ -257,12 +243,13 @@ class _Band:
     `tmp` is the band's rows of the workspace scratch, `res` those of the
     stacked residual, |x| and |rhs| of a solve check (split in `res_parts`),
     and `peaks` the workspace row that takes their three maxima.  `shifts`
-    maps (j, shift) to the (destination, source index) pairs of
-    tmp = weight * u[i - shift] along axis j - 1: for j = 1 the sources are
-    row slices of u, the wrap row of the first or last band on its own; for
-    j = 2 they index the flattened field, one contiguous pass over the
-    band's rows, whose products cross from one row into the next in the wrap
-    column, and then a strided pass that redoes the wrap column.
+    maps (j, shift) to the (destination, source index) pairs with which
+    _band_product writes tmp = weight * u[i - shift] along axis j - 1, for
+    shift = +-1: for j = 1 the sources are row slices of u, the wrap row of
+    the first or last band on its own; for j = 2 they index the flattened
+    field, one contiguous pass over the band's rows, whose products cross
+    from one row into the next in the wrap column, and then a strided pass
+    that redoes the wrap column.
     `halo_rows` and `halo_cols` fill the (r1 - r0 + 2, m2 + 2) periodic halo
     of the band, the rows from u and the ghost columns from the halo itself,
     and `a0_terms` holds, for each nonzero weight of A0, the weight and the
@@ -296,14 +283,23 @@ class _Band:
         )
 
 
-def _shifted(band: _Band, j: int, shift: int, weight: float, src: np.ndarray) -> np.ndarray:
-    """band.tmp = weight * u[i - shift] along axis j - 1 on the band's rows, periodic.
+def _band_product(band: _Band, j: int, sub: float, diag: float, sup: float, u: np.ndarray,
+                  src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (diag u + sub u[i-1]) + sup u[i+1] along axis j - 1 on the band's rows, periodic.
 
-    shift is +-1; src is u for j = 1 and u.reshape(-1) for j = 2.
+    The one tridiagonal product of the module: A_j u for a stencil of
+    directional_stencil(j), and M x for a stage matrix (m_sub, m_diag, m_sup).
+    src is u for j = 1 and u.reshape(-1) for j = 2; `out` has the band's
+    shape and must not be band.tmp, which takes each shifted product in turn.
+    As diag u + sub u[i-1] equals sub u[i-1] + diag u exactly, A_j u is
+    bit-identical to the sum sub u[i-1] + diag u + sup u[i+1] of rolled copies.
     """
-    for dst, index in band.shifts[j, shift]:
-        np.multiply(weight, src[index], out=dst)
-    return band.tmp
+    np.multiply(diag, u[band.rows], out=out)
+    for weight, shift in ((sub, 1), (sup, -1)):
+        for dst, index in band.shifts[j, shift]:
+            np.multiply(weight, src[index], out=dst)
+        np.add(out, band.tmp, out=out)
+    return out
 
 
 def build_split_operators(coeffs: PdeCoefficients, grid: GridSpec) -> SplitOperators:
@@ -361,11 +357,7 @@ def apply_split_operator(
     sub, diag, sup, _ = ops.directional_stencil(j)
     src = u if j == 1 else u.reshape(-1)
     for band in ws.bands:
-        # diag*u + sub*u[i-1] equals sub*u[i-1] + diag*u exactly: the sum runs sub, diag, sup
-        o = out[band.rows]
-        np.multiply(diag, u[band.rows], out=o)
-        np.add(o, _shifted(band, j, 1, sub, src), out=o)
-        np.add(o, _shifted(band, j, -1, sup, src), out=o)
+        _band_product(band, j, sub, diag, sup, u, src, out[band.rows])
     return out
 
 
@@ -427,8 +419,11 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
         # once with the same inverse, a larger one means a wrong inverse
         inv_norm = float(np.abs(inv).sum(axis=2 - j).max())
         if residual <= inv.shape[0] * _EPS * norm_m * inv_norm * rhs_max:
-            axis = j - 1
-            r = rhs - ((m_diag * x + m_sup * np.roll(x, -1, axis)) + m_sub * np.roll(x, 1, axis))
+            r = np.empty(x.shape)
+            src = x if j == 1 else x.reshape(-1)
+            for band in ws.bands:  # r = rhs - M x
+                r_band = _band_product(band, j, m_sub, m_diag, m_sup, x, src, r[band.rows])
+                np.subtract(rhs[band.rows], r_band, out=r_band)
             x = x + (inv @ r if j == 1 else r @ inv)
             residual, x_max, rhs_max = _check_peaks(ws, j, m_sub, m_diag, m_sup, x, rhs)
     bound = _RESIDUAL_RTOL * (norm_m * x_max + rhs_max)
@@ -444,19 +439,17 @@ def _check_peaks(ws: _Workspace, j: int, m_sub: float, m_diag: float, m_sup: flo
                  x: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
     """max |M x - rhs|, max |x| and max |rhs| of a direction-j solve.
 
-    r = ((m_diag x + m_sup x[i+1]) + m_sub x[i-1]) - rhs is formed band by
+    r = ((m_diag x + m_sub x[i-1]) + m_sup x[i+1]) - rhs is formed band by
     band, with the max of |r|, |x| and |rhs| over the band in one reduction;
     a NaN anywhere reaches `peaks` and fails the check.
     """
     src = x if j == 1 else x.reshape(-1)
     for band in ws.bands:
         r, abs_x, abs_rhs = band.res_parts
-        x_band, rhs_band = x[band.rows], rhs[band.rows]
-        np.multiply(m_diag, x_band, out=r)
-        np.add(r, _shifted(band, j, -1, m_sup, src), out=r)
-        np.add(r, _shifted(band, j, 1, m_sub, src), out=r)
+        rhs_band = rhs[band.rows]
+        _band_product(band, j, m_sub, m_diag, m_sup, x, src, r)
         np.abs(np.subtract(r, rhs_band, out=r), out=r)
-        np.abs(x_band, out=abs_x)
+        np.abs(x[band.rows], out=abs_x)
         np.abs(rhs_band, out=abs_rhs)
         band.res.max(axis=(1, 2), out=band.peaks)
     return tuple(ws.peaks.max(axis=0).tolist())
