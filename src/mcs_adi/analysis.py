@@ -5,7 +5,7 @@ amplification factor stay inside the unit disk on the whole cone
 
     Re z1 <= 0,  Re z2 <= 0,  |z0| <= 2 sqrt(Re z1 Re z2) ?
 
-`figure1_scan` draws cone triplets with log-uniform magnitudes over six
+`figure1_scan` draws cone triplets with log-uniform magnitudes over five
 decades (real z0, the discretization case) and records max |S| per theta;
 the transition of the maxima through 1 localizes the threshold near
 theta = 1/3.  `complex_z0_scan` is the same engine with z0 given a random
@@ -23,8 +23,9 @@ each against quantities this package computes independently of the scans:
 deterministic sweeps of closed-form bounds, exact floating-point spot values,
 and for 1/4, both sides of 1/3, 2/5 and 5/12 exact certificates -- polynomial
 identities in rational arithmetic that prove the closed form (module
-`certificates`).  `verify_theorem` runs them as one table of named pass/fail
-checks for the CLI; the grid scans of |S| are float cross-checks outside it.
+`certificates`).  `verify_theorem(n)` runs theorem n's named pass/fail checks
+for the CLI, computing each value they share once; the grid scans of |S|
+are float cross-checks outside them.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
@@ -48,7 +49,6 @@ a third.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -183,13 +183,14 @@ def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
 def _pool_map(fn, items, threads) -> list:
     """[fn(x) for x in items] on a thread pool, results in item order.
 
-    `threads` None gives one worker per CPU this process may run on; any
-    other value gives max(threads, 1) workers.
+    The pool has `threads` workers (at least one), at most the CPUs this
+    process may run on, its default: the executor starts a thread per task
+    submitted while none is idle, so an uncapped count could start thousands.
     """
-    if threads is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-        threads = len(affinity(0)) if affinity else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=max(threads or 1, 1)) as pool:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = cpus if threads is None else max(min(threads, cpus), 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -461,112 +462,115 @@ class CheckResult:
     detail: str = ""
 
 
-def _witness_abs_s(theta: float) -> float:
-    """|S| at the triplet `thm4_witness_search` finds at theta; 0.0 when it finds none."""
-    wit = thm4_witness_search(theta)
-    return 0.0 if wit is None else abs(eval_stability_function(theta, wit))
-
-
-def _check_rows(seed, samples, threads, theta) -> list[tuple]:
-    """The checks of `verify` in output order, as (theorem, name, measure, predicate, detail).
-
-    A measure takes no argument and returns the measured value; the predicate
-    turns it into pass/fail.  Measures look the scans and certificates up
-    among this module's globals and in `certificates` when they run, so
-    building the rows runs none, and one wrapped or replaced after import is
-    the one that runs.  A value that several rows read -- the complex scan,
-    the cubic coefficient or an all-real cone certificate at one theta, the
-    ratio maximum -- is computed once per call.
-    """
-    scan = functools.cache(
-        lambda: complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
-    )
-    cubic = functools.cache(lambda th: certificates.thm3_cubic(th))
-    upper = functools.cache(lambda th: certificates.thm2_upper(th))
-    lower = functools.cache(lambda th: certificates.thm2_lower(th))
-    ratio_max = functools.cache(lambda: thm4_maximize())
-    lower_rows = [(2, f"real_cone_lower_bound_at_{t.replace('/', '_')}", lambda t=t: lower(t)[0],
-                   lambda m, t=t: lower(t)[1], f"exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves "
-                   f"S > -1 on the all-real cone at theta = {t}") for t in ("1/3", "1/2")]
-    rows = [
-        (1, "margin_zero_at_1_4", lambda: imaginary_axis_margin(0.25), lambda m: m == 0.0,
-         "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
-        (1, "margin_zero_at_1_2", lambda: imaginary_axis_margin(0.5), lambda m: m == 0.0,
-         "criterion margin vanishes exactly at theta = 1/2"),
-        (1, "margin_nonnegative_above_1_4",
-         lambda: float(min(imaginary_axis_margin(float(t)) for t in np.linspace(0.25, 1.0, 301))),
-         lambda m: m >= 0.0, "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
-        (1, "margin_negative_below_1_4", lambda: imaginary_axis_margin(0.24), lambda m: m < 0.0,
-         "criterion margin < 0 at theta = 0.24"),
-        *[(1, f"imaginary_axis_coeff_{tag}", lambda t=t: certificates.thm1_coefficient(t),
-           lambda m, t=t: (m < 0.0) == (t < 0.25),
-           f"exact |D|^2 - |N|^2 = c (b1 + b2)^4 on the imaginary axis, "
-           f"c {op} 0 at theta = {t:.6g}")
-          for t, tag, op in ((0.25, "at_1_4", ">="), (0.5, "at_1_2", ">="), (1.0, "at_1", ">="),
-                             (0.24, "negative_at_0_24", "<"))],
-        (2, "sharp_point_on_unit_circle",
-         lambda: abs(eval_stability_function(1.0 / 3.0, thm2_sharp_point(1.0 / 3.0)) - 1.0),
-         lambda m: m <= 1e-14,
-         "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
-        *[(2, f"real_cone_upper_bound_at_{t.replace('/', '_')}", lambda t=t: upper(t)[0],
-           lambda m, t=t: upper(t)[1],
-           f"exact D - N factorization and its discriminant prove S <= 1 "
-           f"on the all-real cone at theta = {t}")
-          for t in ("1/3", "1/2")],
-        lower_rows[0],
-        (2, "sharp_point_excess_at_0_32",
-         lambda: certificates.exact_real_s(0.32, thm2_sharp_point(0.32)), lambda m: m >= 1.15,
-         "exact S at the boundary triplet well above 1 at theta = 0.32"),
-        lower_rows[1],
+def _thm1_checks(seed, samples, threads, theta) -> list[CheckResult]:
+    """Imaginary-axis criterion margins and the exact coefficient around theta = 1/4."""
+    at_1_4, at_1_2, below = (imaginary_axis_margin(t) for t in (0.25, 0.5, 0.24))
+    least = float(min(imaginary_axis_margin(float(t)) for t in np.linspace(0.25, 1.0, 301)))
+    checks = [
+        CheckResult("margin_zero_at_1_4", at_1_4, at_1_4 == 0.0,
+                    "imaginary-axis criterion margin vanishes exactly at theta = 1/4"),
+        CheckResult("margin_zero_at_1_2", at_1_2, at_1_2 == 0.0,
+                    "criterion margin vanishes exactly at theta = 1/2"),
+        CheckResult("margin_nonnegative_above_1_4", least, least >= 0.0,
+                    "criterion margin >= 0 on a 301-point grid over [1/4, 1]"),
+        CheckResult("margin_negative_below_1_4", below, below < 0.0,
+                    "criterion margin < 0 at theta = 0.24"),
     ]
+    for t, tag in ((0.25, "at_1_4"), (0.5, "at_1_2"), (1.0, "at_1"), (0.24, "negative_at_0_24")):
+        c = certificates.thm1_coefficient(t)
+        checks.append(CheckResult(f"imaginary_axis_coeff_{tag}", c, (c < 0.0) == (t < 0.25),
+                                  f"exact |D|^2 - |N|^2 = c (b1 + b2)^4 on the imaginary axis, "
+                                  f"c {'<' if t < 0.25 else '>='} 0 at theta = {t:.6g}"))
+    return checks
+
+
+def _thm2_checks(seed, samples, threads, theta) -> list[CheckResult]:
+    """The exact all-real cone certificates at 1/3 and 1/2, and the sharp family around 1/3."""
+    on_circle = abs(eval_stability_function(1.0 / 3.0, thm2_sharp_point(1.0 / 3.0)) - 1.0)
+    excess = certificates.exact_real_s(0.32, thm2_sharp_point(0.32))
+    upper = "exact D - N factorization and its discriminant prove S <= 1 on the all-real cone"
+    lower = "exact 2 (N + D) = (z0 + X)^2 + R >= 3 proves S > -1 on the all-real cone"
+    return [
+        CheckResult("sharp_point_on_unit_circle", on_circle, on_circle <= 1e-14,
+                    "|S| = 1 at the boundary triplet (-2/theta, -1/theta, -1/theta), theta = 1/3"),
+        CheckResult("real_cone_upper_bound_at_1_3", *certificates.thm2_upper("1/3"),
+                    f"{upper} at theta = 1/3"),
+        CheckResult("real_cone_upper_bound_at_1_2", *certificates.thm2_upper("1/2"),
+                    f"{upper} at theta = 1/2"),
+        CheckResult("real_cone_lower_bound_at_1_3", *certificates.thm2_lower("1/3"),
+                    f"{lower} at theta = 1/3"),
+        CheckResult("sharp_point_excess_at_0_32", excess, excess >= 1.15,
+                    "exact S at the boundary triplet well above 1 at theta = 0.32"),
+        CheckResult("real_cone_lower_bound_at_1_2", *certificates.thm2_lower("1/2"),
+                    f"{lower} at theta = 1/2"),
+    ]
+
+
+def _thm3_checks(seed, samples, threads, theta) -> list[CheckResult]:
+    """The exact cubic coefficient and its sign at 0.38, 0.40 and 0.42, or at `theta` alone."""
+    checks = []
     for th in (0.38, 0.40, 0.42) if theta is None else (float(theta),):
-        want = 40.0 * th * th - 16.0 * th
+        coeff, exact = certificates.thm3_cubic(th)
         tag = (f"{th:.6g}" if float(f"{th:.6g}") == th else repr(th)).replace(".", "_")
         # the float 0.4 is the one nearest 2/5, and above it: th < 0.4 iff th < 2/5 exactly
-        kind = "vanishes" if th == 0.4 else "negative" if th < 0.4 else "positive"
-        predicate, detail = {
-            "negative": (lambda m: m < 0.0,
-                         "negative cubic term: not stable on this family (theta < 2/5)"),
-            "positive": (lambda m: m > 0.0,
-                         "positive cubic term: decay on this family (theta > 2/5)"),
-            "vanishes": (lambda m: abs(m) <= 1e-3, "cubic term changes sign at theta = 2/5"),
-        }[kind]
-        rows += [
-            (3, f"cubic_coefficient_at_{tag}", lambda t=th: cubic(t)[0],
-             lambda m, t=th: cubic(t)[1], f"exact coefficient vs closed form {want:.6g}"),
-            (3, f"error_term_{kind}_at_{tag}", lambda t=th: cubic(t)[0], predicate, detail),
+        if th == 0.4:
+            kind, passed = "vanishes", abs(coeff) <= 1e-3
+            detail = "cubic term changes sign at theta = 2/5"
+        elif th < 0.4:
+            kind, passed = "negative", coeff < 0.0
+            detail = "negative cubic term: not stable on this family (theta < 2/5)"
+        else:
+            kind, passed = "positive", coeff > 0.0
+            detail = "positive cubic term: decay on this family (theta > 2/5)"
+        checks += [
+            CheckResult(f"cubic_coefficient_at_{tag}", coeff, exact,
+                        f"exact coefficient vs closed form {40.0 * th * th - 16.0 * th:.6g}"),
+            CheckResult(f"error_term_{kind}_at_{tag}", coeff, passed, detail),
         ]
-    rows += [
-        (4, "ratio_argmax_at_2", lambda: ratio_max()[0], lambda m: abs(m - 2.0) <= 1e-9,
-         "maximizer of the threshold ratio"),
-        (4, "ratio_max_is_5_12", lambda: ratio_max()[1], lambda m: abs(m - 5.0 / 12.0) <= 1e-15,
-         "maximum of the threshold ratio equals 5/12"),
-        (4, "ratio_at_2_exact", lambda: thm4_ratio(2.0), lambda m: m == 5.0 / 12.0,
-         "ratio(2) = 5/12 holds exactly in floating point"),
-        (4, "instability_witness_below_5_12", lambda: _witness_abs_s(0.40),
-         lambda m: m > 1.0 + 1e-10, "cone triplet with |S| > 1 exists at theta = 0.40"),
-        *[(4, f"no_witness_at_{tag}", lambda t=t: _witness_abs_s(t), lambda m: m == 0.0,
-           f"the witness family stays inside the unit disk at theta = {t:.6g}")
-          for t, tag in ((5.0 / 12.0, "5_12"), (0.45, "0_45"))],
-        (5, "bound_equals_1_at_phi_0",
-         lambda rr=np.linspace(0.0, 1.0, 101): max(
-             float(np.max(np.abs(np.asarray(thm5_bound(t, rr, 0.0)) - 1.0)))
-             for t in (0.5, 0.75, 1.0)
-         ),
-         lambda m: m <= 1e-13,
-         "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}"),
-        (5, "bound_nonincreasing_in_phase",
-         lambda phis=np.linspace(0.0, math.pi, 361): max(
-             float(np.max(np.diff(np.asarray(thm5_bound(t, r, phis)))))
-             for t in (0.5, 0.6, 0.75, 0.9, 1.0) for r in np.linspace(0.0, 1.0, 21)
-         ),
-         lambda m: m <= 1e-12,
-         "forward differences of the bound in phi are <= 0 for theta >= 1/2"),
-        *[(5, f"complex_cone_max_at_{t:.2f}".replace(".", "_"), lambda k=k: scan().max_abs_s[k],
-           lambda m: m <= 1.0 + 1e-12, f"sampled max |S| with complex z0 at theta = {t:.6g}")
-          for k, t in enumerate((0.5, 0.75))],
+    return checks
+
+
+def _thm4_checks(seed, samples, threads, theta) -> list[CheckResult]:
+    """The certified maximum 5/12 of `thm4_ratio`, and the witness family on both sides of it."""
+    argmax, peak = thm4_maximize()
+    at_2 = thm4_ratio(2.0)
+    # |S| at the witness the search finds at each theta, 0.0 where it finds none
+    witnesses = {t: thm4_witness_search(t) for t in (0.40, 5.0 / 12.0, 0.45)}
+    below, at_5_12, at_0_45 = (0.0 if wit is None else abs(eval_stability_function(t, wit))
+                               for t, wit in witnesses.items())
+    return [
+        CheckResult("ratio_argmax_at_2", argmax, abs(argmax - 2.0) <= 1e-9,
+                    "maximizer of the threshold ratio"),
+        CheckResult("ratio_max_is_5_12", peak, abs(peak - 5.0 / 12.0) <= 1e-15,
+                    "maximum of the threshold ratio equals 5/12"),
+        CheckResult("ratio_at_2_exact", at_2, at_2 == 5.0 / 12.0,
+                    "ratio(2) = 5/12 holds exactly in floating point"),
+        CheckResult("instability_witness_below_5_12", below, below > 1.0 + 1e-10,
+                    "cone triplet with |S| > 1 exists at theta = 0.40"),
+        CheckResult("no_witness_at_5_12", at_5_12, at_5_12 == 0.0,
+                    "the witness family stays inside the unit disk at theta = 0.416667"),
+        CheckResult("no_witness_at_0_45", at_0_45, at_0_45 == 0.0,
+                    "the witness family stays inside the unit disk at theta = 0.45"),
     ]
-    return rows
+
+
+def _thm5_checks(seed, samples, threads, theta) -> list[CheckResult]:
+    """The phase-monotone bound behind 1/2, and the sampled complex-z0 cone maximum above it."""
+    radii, phases = np.linspace(0.0, 1.0, 101), np.linspace(0.0, math.pi, 361)
+    off_1 = max(float(np.max(np.abs(np.asarray(thm5_bound(t, radii, 0.0)) - 1.0)))
+                for t in (0.5, 0.75, 1.0))
+    rise = max(float(np.max(np.diff(np.asarray(thm5_bound(t, r, phases)))))
+               for t in (0.5, 0.6, 0.75, 0.9, 1.0) for r in np.linspace(0.0, 1.0, 21))
+    scan = complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
+    return [
+        CheckResult("bound_equals_1_at_phi_0", off_1, off_1 <= 1e-13,
+                    "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}"),
+        CheckResult("bound_nonincreasing_in_phase", rise, rise <= 1e-12,
+                    "forward differences of the bound in phi are <= 0 for theta >= 1/2"),
+        *(CheckResult(f"complex_cone_max_at_{t:.2f}".replace(".", "_"), mx, mx <= 1.0 + 1e-12,
+                      f"sampled max |S| with complex z0 at theta = {t:.6g}")
+          for t, mx in zip(scan.thetas, scan.max_abs_s)),
+    ]
 
 
 def verify_theorem(
@@ -587,9 +591,5 @@ def verify_theorem(
         check_theta(theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
-    checks = []
-    for thm, name, measure, predicate, detail in _check_rows(seed, samples, threads, theta):
-        if thm == n:
-            m = measure()
-            checks.append(CheckResult(name, m, predicate(m), detail))
-    return checks
+    checks = (_thm1_checks, _thm2_checks, _thm3_checks, _thm4_checks, _thm5_checks)[n - 1]
+    return checks(seed, samples, threads, theta)

@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pool.add_argument("--seed", type=_u64, default=0, help="RNG seed (default 0)")
     pool.add_argument(
         "--threads", type=int, default=None, metavar="N",
-        help="worker threads (default: machine parallelism; results do not depend on it)",
+        help="worker threads, at most one per usable CPU (default: one per usable CPU; "
+             "results do not depend on it)",
     )
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--config", metavar="PATH", required=True, help="problem file")
@@ -148,15 +149,13 @@ def cmd_solve(args) -> int:
     u = config.make_initial_field(setup.grid, setup.initial)
     print("step,max_norm")
     print(f"0,{solver.field_max_norm(u):.17g}")
-    # a blow-up overflows before validate_field or the residual guard reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, setup.steps + 1):
-            try:
-                u = step(ops, setup.params, u)
-            except (solver.SingularSystemError, DomainError) as exc:
-                print(f"numerical breakdown at step {n}: {exc}", file=sys.stderr)
-                return 3
-            print(f"{n},{solver.field_max_norm(u):.17g}")
+    for n in range(1, setup.steps + 1):
+        try:
+            u = step(ops, setup.params, u)
+        except (solver.SingularSystemError, DomainError) as exc:
+            print(f"numerical breakdown at step {n}: {exc}", file=sys.stderr)
+            return 3
+        print(f"{n},{solver.field_max_norm(u):.17g}")
     if args.out is not None:
         _write_out(solver.write_field_csv, args.out, u)
     return 0
@@ -247,17 +246,15 @@ def cmd_convergence(args) -> int:
     for theta in thetas:
         check_theta(theta)
     csv = "scheme,theta,dt,max_error,observed_order\n"
-    # a blow-up overflows before validate_field or the residual guard reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for theta in thetas:
-            problem = dataclasses.replace(solver.default_convergence_problem(), theta=theta)
-            try:
-                rows = solver.run_convergence_study(problem, args.scheme, args.levels)
-            except (solver.SingularSystemError, DomainError) as exc:
-                print(f"numerical breakdown at theta = {theta:.17g}: {exc}", file=sys.stderr)
-                return 3
-            csv += "".join(f"{args.scheme},{theta:.17g},{row.dt:.17g},{row.max_error:.17g},"
-                           f"{row.observed_order:.17g}\n" for row in rows)
+    for theta in thetas:
+        problem = dataclasses.replace(solver.default_convergence_problem(), theta=theta)
+        try:
+            rows = solver.run_convergence_study(problem, args.scheme, args.levels)
+        except (solver.SingularSystemError, DomainError) as exc:
+            print(f"numerical breakdown at theta = {theta:.17g}: {exc}", file=sys.stderr)
+            return 3
+        csv += "".join(f"{args.scheme},{theta:.17g},{row.dt:.17g},{row.max_error:.17g},"
+                       f"{row.observed_order:.17g}\n" for row in rows)
     if args.out is not None:
         _write_out(Path.write_text, Path(args.out), csv, "utf-8")
     else:
@@ -271,9 +268,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a blow-up or an extreme input overflows before the check that reports
+        # it as one line (validate_field, the residual guard, the form guard)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, DomainError) as exc:  # a bad file or flag, an argument off its domain
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # SingularSystemError, a non-finite verify result
         print(f"numerical breakdown: {exc}", file=sys.stderr)

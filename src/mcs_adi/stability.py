@@ -27,6 +27,7 @@ arrays so the Monte-Carlo scans in `analysis` can reuse them unchanged.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -141,8 +142,8 @@ def eval_stability_function(theta: float, pt: SpectralPoint) -> complex:
     """Evaluate the amplification factor at one spectral point.
 
     Raises PoleError when |p| falls under the relative pole guard, and
-    ArithmeticError when the two algebraic forms disagree beyond
-    FORM_AGREEMENT_RTOL (scaled by max(1, |S|)), which signals an
+    ArithmeticError unless both algebraic forms are finite and agree to
+    FORM_AGREEMENT_RTOL (scaled by max(1, |S|)); anything else signals an
     ill-conditioned evaluation rather than a usable value.
     """
     p = pt.p(theta)
@@ -151,10 +152,10 @@ def eval_stability_function(theta: float, pt: SpectralPoint) -> complex:
         raise PoleError(f"|p| = {abs(p):.3e} below pole tolerance {tol:.3e}")
     s1 = complex(stability_function(theta, pt.z0, pt.z1, pt.z2))
     s2 = complex(stability_function_quadratic(theta, pt.z0, pt.z1, pt.z2))
-    scale = max(1.0, abs(s1), abs(s2))
-    if abs(s1 - s2) > FORM_AGREEMENT_RTOL * scale:
+    agree = abs(s1 - s2) <= FORM_AGREEMENT_RTOL * max(1.0, abs(s1), abs(s2))
+    if not (agree and cmath.isfinite(s1) and cmath.isfinite(s2)):
         raise ArithmeticError(
-            f"stability function forms disagree: {s1!r} vs {s2!r}"
+            f"stability function forms disagree or are not finite: {s1!r} vs {s2!r}"
         )
     return s1
 

@@ -175,6 +175,8 @@ def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
 
     thetas = tuple(0.25 + k / 80.0 for k in range(21))
     want = figure1_scan(seed=3, samples=24 * 1024 - 5, thetas=thetas, threads=1)
+    # the pool caps its workers at the usable CPUs; eight workers on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(analysis, "_draw_cone_block", tracked_draw)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -208,6 +210,21 @@ def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
     analysis._pool_map(abs, [-1], 0)
     analysis._pool_map(abs, [-1], 3)
     assert workers == [3, 8, 1, 3]
+
+
+def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
+    # figure1's default scan is 3131 tasks; a thread per task is not a pool
+    workers = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert analysis._pool_map(abs, [-1, 2, -3, 4], 10**5) == [1, 2, 3, 4]
+    assert workers == [3]
 
 
 def test_scan_with_partial_last_block_is_thread_invariant():

@@ -562,6 +562,32 @@ def test_amplification_cli_bad_mode(config_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_amplification_cli_overflow_is_one_stderr_line(tmp_path):
+    # z1 = -4e155 overflows p^2 in both closed forms of S: one numerical
+    # breakdown line, and no numpy RuntimeWarning before it
+    path = tmp_path / "overflow.cfg"
+    path.write_text("m1 = 8\nm2 = 8\ndx = 1\ndy = 1\ndt = 1\ntheta = 0.4\n"
+                    "d11 = 1e155\nd12 = 1e67\nd21 = 1e67\nd22 = 1e-20\n")
+    code, err = _run_module("amplification", "--config", str(path), "--k1", "4", "--k2", "4")
+    assert code == 3 and len(err) == 1 and err[0].startswith("numerical breakdown: "), err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["amplification", "--k1", "1", "--k2", "0"]],
+                         ids=["solve", "amplification"])
+def test_an_unallocatable_grid_is_one_usage_error(command, config_path, capsys, monkeypatch):
+    # stands in for m1 = m2 = 10**7, whose Fourier-mode field numpy cannot allocate
+    for exc, want in ((MemoryError("Unable to allocate 745. TiB"),
+                       "error: Unable to allocate 745. TiB"),
+                      (MemoryError(), "error: out of memory")):
+        def no_memory(self, grid):
+            raise exc
+
+        monkeypatch.setattr(FourierMode, "phase_field", no_memory)
+        assert main([command[0], "--config", config_path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [want]
+
+
 def test_cli_requires_subcommand(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -175,6 +175,15 @@ def test_eval_raises_at_pole():
         eval_stability_function(0.5, SpectralPoint(0.0, 2.0, -1.0))
 
 
+def test_eval_raises_when_a_form_is_not_finite():
+    # on the cone at theta = 0.4, where the exact |S| is 0.875: p^2 overflows,
+    # so the additive form reads S = -1.5 and the quadratic form NaN
+    pt = SpectralPoint(5.162e67 + 4.075e67j, -3.728e154 + 276.8j, -5.93e-20 - 1.954e-8j)
+    assert cone_condition(pt)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError):
+        eval_stability_function(0.4, pt)
+
+
 def test_eval_returns_python_complex():
     s = eval_stability_function(0.5, SpectralPoint(0.0, -1.0, -1.0))
     assert isinstance(s, complex)
