@@ -34,17 +34,16 @@ returns the first maximum with its witness, and `_first_max` folds the
 batches in a fixed order with a strict >, so the reported witness depends
 neither on the batch size nor on the thread count.  A batch holds at most
 BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows) and is
-evaluated into its worker thread's reused workspace of four such arrays
-(dropped when the thread draws or releases a block); the tasks of a scan --
-grid bands, or (Monte-Carlo block, theta) pairs -- run on one thread pool.
+evaluated into its worker thread's reused workspace of four such arrays,
+dropped when the thread draws a block; a scan runs on one pool of W threads.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
-thread count.  Each block is drawn once, with its theta-free sum z0 + (z1 +
-z2), by its first task, and released by its last, so W workers hold at most
-W + 1 blocks; every theta of the grid is evaluated on it (common random
-numbers).  Real and complex z0 scans own one stream each, the lemma-2 sweep
-a third.
+thread count.  A Monte-Carlo scan is a pipeline: W draws run ahead, each
+with its block's theta-free sum z0 + (z1 + z2); a drawn block gets one task
+per theta (common random numbers), folded in block order before the next
+draw, so at most W + 1 blocks live and O(W * thetas) tasks wait at any
+sample count.  Real and complex z0 scans own one stream each, lemma 2 a third.
 """
 
 from __future__ import annotations
@@ -52,9 +51,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -153,12 +154,12 @@ def default_theta_grid() -> tuple[float, ...]:
     return tuple(0.25 + k / 400.0 for k in range(101))
 
 
-def _blocks(samples: int) -> list[tuple[int, int]]:
-    """(block index, sample count) of each Monte-Carlo block of a sweep."""
-    return [
+def _blocks(samples: int) -> Iterator[tuple[int, int]]:
+    """(block index, sample count) of each Monte-Carlo block of a sweep, lazily."""
+    return (
         (b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES))
         for b in range(-(-samples // BLOCK_SAMPLES))
-    ]
+    )
 
 
 #: `work`: this thread's four scratch arrays for `_batch_max`; |S| goes in the last.
@@ -180,17 +181,17 @@ def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
 
 
-def _pool_map(fn, items, threads) -> list:
-    """[fn(x) for x in items] on a thread pool, results in item order.
-
-    The pool has `threads` workers (at least one), at most the CPUs this
-    process may run on, its default: the executor starts a thread per task
-    submitted while none is idle, so an uncapped count could start thousands.
-    """
+def _workers(threads) -> int:
+    """Pool size: `threads`, at least one, at most the usable CPUs (their count by default)."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = cpus if threads is None else max(min(threads, cpus), 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # capped: the executor starts a thread per task submitted while none is idle
+    return cpus if threads is None else max(min(threads, cpus), 1)
+
+
+def _pool_map(fn, items, threads) -> list:
+    """[fn(x) for x in items] on a pool of `_workers(threads)` threads, in item order."""
+    with ThreadPoolExecutor(max_workers=_workers(threads)) as pool:
         return list(pool.map(fn, items))
 
 
@@ -223,31 +224,30 @@ def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
     if samples <= 0:
         raise DomainError("samples must be positive")
 
-    blocks = _blocks(samples)
-    locks = [threading.Lock() for _ in blocks]
-    live = {}  # block index -> [(z0, z1, z2, zz), tasks not yet finished]
+    def draw(index, n):
+        vars(_scratch).pop("work", None)  # not held while a block is drawn
+        z0, z1, z2 = _draw_cone_block(seed, index, n, complex_z0)
+        return [z0, z1, z2, z0 + (z1 + z2)]
 
-    def run(task):
-        b, theta = task[0], thetas[task[1]]
-        with locks[b]:  # the block's first task draws it, the others wait
-            if b not in live:
-                vars(_scratch).pop("work", None)  # not held while a block is drawn
-                z0, z1, z2 = _draw_cone_block(seed, *blocks[b], complex_z0)
-                live[b] = [(z0, z1, z2, z0 + (z1 + z2)), len(thetas)]
-            arrays = live[b][0]
-        result = _batch_max(theta, *arrays)
-        with locks[b]:  # the block's last task releases it
-            live[b][1] -= 1
-            if not live[b][1]:
-                del live[b]
-                vars(_scratch).pop("work", None)  # so the next workspace reuses its memory
-        return result
+    def evaluate(theta, block):  # the task holds the list, which the fold empties
+        return _batch_max(theta, *block)
 
-    bs, ks = range(len(blocks)), range(len(thetas))
-    # block b + 1's first task, its draw, runs ahead of block b's other tasks
-    tasks = sorted(((b, k) for b in bs for k in ks), key=lambda t: (t[0] + (t[1] > 0), t[1]))
-    results = dict(zip(tasks, _pool_map(run, tasks, threads)))
-    maxima, witnesses = zip(*(_first_max(results[b, k] for b in bs) for k in ks))
+    def fold(block, evals):  # one block's (max, witness) per theta into the running maxima
+        for k, future in enumerate(evals):
+            best[k] = _first_max((best[k], future.result()))
+        block.clear()  # frees the arrays now; a worker drops its last task's arguments later
+
+    workers, blocks = _workers(threads), _blocks(samples)
+    best, block, evals = [(-math.inf, None)] * len(thetas), [], []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        draws = deque(pool.submit(draw, *b) for b in islice(blocks, workers))  # W ahead
+        while draws:
+            done, block = (block, evals), draws.popleft().result()
+            evals = [pool.submit(evaluate, theta, block) for theta in thetas]
+            fold(*done)  # in block order, and before the next draw: W + 1 blocks live
+            draws.extend(pool.submit(draw, *b) for b in islice(blocks, 1))  # the next, if any
+        fold(block, evals)
+    maxima, witnesses = zip(*best)
     return ScanReport(
         thetas=thetas,
         max_abs_s=maxima,

@@ -95,6 +95,8 @@ class GridSpec:
     def __post_init__(self):
         if self.m1 < 3 or self.m2 < 3:
             raise DomainError(f"need at least 3 points per direction, got {self.m1}x{self.m2}")
+        if self.m1 * self.m2 * 16 > np.iinfo(np.intp).max:  # a complex128 field's bytes
+            raise DomainError(f"grid {self.m1}x{self.m2} is too large for this machine's arrays")
         # min(dx, dy)**2 > 0 also keeps dx*dx, dy*dy and dx*dy from underflowing to 0
         spacings_ok = 0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf
         if not (spacings_ok and min(self.dx, self.dy) ** 2 > 0.0):

@@ -77,8 +77,8 @@ def test_scan_theta_result_does_not_depend_on_the_rest_of_the_grid():
 
 @pytest.mark.parametrize("complex_z0", [False, True])
 def test_scan_draws_each_block_once(monkeypatch, complex_z0):
-    # one task per (block, theta): whichever task needs a block first draws
-    # it, and the 41 others of that block reuse the same arrays
+    # one draw task per block; the 42 theta evaluations of the block all
+    # reuse its arrays
     samples = 2 * BLOCK_SAMPLES + 1234  # three blocks, the last one partial
     calls = []
     draw = analysis._draw_cone_block
@@ -153,8 +153,8 @@ def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
 def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
     # Small blocks make many of them; a block counts as alive from its draw
     # until its arrays are freed after the last of its tasks.  Eight workers
-    # on a short switch interval stress the shared draw/release bookkeeping:
-    # a lost update draws a block twice or never releases it.
+    # on a short switch interval stress the pipeline: a block drawn twice, or
+    # one still held when the next draws start, fails the counts.
     monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     draw = analysis._draw_cone_block
     lock = threading.Lock()
@@ -191,6 +191,38 @@ def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
             assert 1 <= peak[0] <= threads + 1
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
+    # The scan submits as it goes: at any time at most W draws and the theta
+    # evaluations of W + 1 blocks are submitted and not finished, however
+    # many blocks the sweep has (24 here, 504 evaluations in all).
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    lock = threading.Lock()
+    pending, peak = [0], [0]
+
+    def finished(future):
+        with lock:
+            pending[0] -= 1
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            with lock:
+                pending[0] += 1
+                peak[0] = max(peak[0], pending[0])
+            future = super().submit(fn, *args, **kwargs)
+            future.add_done_callback(finished)
+            return future
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    thetas = tuple(0.25 + k / 80.0 for k in range(21))
+    want = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=1)
+    for threads in (1, 2, 3):
+        peak[0] = 0
+        got = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=threads)
+        assert got == want and pending[0] == 0
+        assert len(thetas) <= peak[0] <= (threads + 1) * len(thetas) + threads
 
 
 def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):

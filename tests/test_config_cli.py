@@ -588,6 +588,26 @@ def test_an_unallocatable_grid_is_one_usage_error(command, config_path, capsys, 
         assert captured.out == "" and captured.err.splitlines() == [want]
 
 
+@pytest.mark.parametrize("command", [["solve"], ["amplification", "--k1", "1", "--k2", "0"]],
+                         ids=["solve", "amplification"])
+def test_a_grid_beyond_the_address_space_is_one_usage_error(command, tmp_path, capsys,
+                                                            monkeypatch):
+    # a 2^32 x 2^32 complex128 field is 2^68 bytes, more than np.intp counts:
+    # GridSpec rejects it before anything is allocated
+    path = tmp_path / "huge.cfg"
+    path.write_text("m1 = 4294967296\nm2 = 4294967296\ndx = 1\ndy = 1\ndt = 0.01\n"
+                    "theta = 0.5\ninitial = impulse\n")
+
+    def no_field(self, grid):
+        raise AssertionError("a Fourier-mode field of the huge grid was built")
+
+    monkeypatch.setattr(FourierMode, "phase_field", no_field)
+    assert main([command[0], "--config", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: grid 4294967296x4294967296 is too large for this machine's arrays"]
+
+
 def test_cli_requires_subcommand(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -648,10 +668,13 @@ def test_module_entry_point(config_path):
 
 # ------------------------------------------------------------ CLI robustness
 
-_EDGE_FLOATS = [0.0, -0.0, -1.0, 1e-300, 5e-324, 1e200, 1e308, math.inf, -math.inf, math.nan]
+# 1e155 and 1e67 are the d11 and d12 = d21 of the one-line overflow of `amplification`
+_EDGE_FLOATS = [0.0, -0.0, -1.0, 1e-300, 5e-324, 1e67, 1e155, 1e200, 1e308, math.inf,
+                -math.inf, math.nan]
 _cli_floats = hst.one_of(hst.sampled_from(_EDGE_FLOATS), hst.floats(-2.0, 2.0))
 _config_values = {
-    "m1": hst.integers(-1, 12), "m2": hst.integers(-1, 12),
+    # 2**62 by any m >= 3 overflows np.intp bytes: rejected before any allocation
+    "m1": hst.integers(-1, 12) | hst.just(2**62), "m2": hst.integers(-1, 12) | hst.just(2**62),
     "dx": _cli_floats, "dy": _cli_floats, "dt": _cli_floats, "theta": _cli_floats,
     "c1": _cli_floats, "c2": _cli_floats, "d11": _cli_floats, "d12": _cli_floats,
     "d21": _cli_floats, "d22": _cli_floats, "beta": _cli_floats,
