@@ -35,15 +35,18 @@ batches in a fixed order with a strict >, so the reported witness depends
 neither on the batch size nor on the thread count.  A batch holds at most
 BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows) and is
 evaluated into its worker thread's reused workspace of four such arrays,
-dropped when the thread draws a block; a scan runs on one pool of W threads.
+dropped when the thread draws a Monte-Carlo block.
+
+Every scan over many batches -- the cone scans and the two grids -- runs on
+one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
+one pool of W threads: W batch draws run ahead, each with its batch's
+theta-free sum z0 + (z1 + z2); a drawn batch gets one task per theta
+(common random numbers), folded in batch order before the next draw, so at
+most W + 1 batches live and O(W * thetas) tasks wait at any batch count.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
-thread count.  A Monte-Carlo scan is a pipeline: W draws run ahead, each
-with its block's theta-free sum z0 + (z1 + z2); a drawn block gets one task
-per theta (common random numbers), folded in block order before the next
-draw, so at most W + 1 blocks live and O(W * thetas) tasks wait at any
-sample count.  Real and complex z0 scans own one stream each, lemma 2 a third.
+thread count.  Real and complex z0 scans own one stream each, lemma 2 a third.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -119,6 +123,7 @@ def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
     uniform phase, and the block comes from the complex-z0 stream.
     """
+    vars(_scratch).pop("work", None)  # this thread's workspace is not held while it draws
     g = _block_generator(seed, _COMPLEX_STREAM_BASE if complex_z0 else 0, block)
     r = g.random((n, 8 if complex_z0 else 7))
     z1, z2 = _cone_z_pair(r)
@@ -156,6 +161,8 @@ def default_theta_grid() -> tuple[float, ...]:
 
 def _blocks(samples: int) -> Iterator[tuple[int, int]]:
     """(block index, sample count) of each Monte-Carlo block of a sweep, lazily."""
+    if samples <= 0:
+        raise DomainError("samples must be positive")
     return (
         (b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES))
         for b in range(-(-samples // BLOCK_SAMPLES))
@@ -189,12 +196,6 @@ def _workers(threads) -> int:
     return cpus if threads is None else max(min(threads, cpus), 1)
 
 
-def _pool_map(fn, items, threads) -> list:
-    """[fn(x) for x in items] on a pool of `_workers(threads)` threads, in item order."""
-    with ThreadPoolExecutor(max_workers=_workers(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 def _row_slices(rows: int, cols: int) -> list[slice]:
     """Row batches of a rows x cols grid, each at most BLOCK_SAMPLES points (>= 1 row)."""
     step = max(BLOCK_SAMPLES // cols, 1)
@@ -215,39 +216,48 @@ def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
     return best, wit
 
 
-def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
-    thetas = tuple(float(t) for t in thetas)
-    if not thetas:
-        raise DomainError("need at least one theta")
+def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
+    """(max |S|, first witness) per theta over `batches`, callables returning (z0, z1, z2).
+
+    The one scan driver: W batch draws run ahead on a pool of W threads, each
+    with the batch's theta-free sum z0 + (z1 + z2); a drawn batch gets one
+    `_batch_max` task per theta, folded in batch order before the next draw.
+    """
     for t in thetas:
         check_theta(t)
-    if samples <= 0:
-        raise DomainError("samples must be positive")
 
-    def draw(index, n):
-        vars(_scratch).pop("work", None)  # not held while a block is drawn
-        z0, z1, z2 = _draw_cone_block(seed, index, n, complex_z0)
+    def draw(batch):
+        z0, z1, z2 = batch()
         return [z0, z1, z2, z0 + (z1 + z2)]
 
     def evaluate(theta, block):  # the task holds the list, which the fold empties
         return _batch_max(theta, *block)
 
-    def fold(block, evals):  # one block's (max, witness) per theta into the running maxima
+    def fold(block, evals):  # one batch's (max, witness) per theta into the running maxima
         for k, future in enumerate(evals):
             best[k] = _first_max((best[k], future.result()))
         block.clear()  # frees the arrays now; a worker drops its last task's arguments later
 
-    workers, blocks = _workers(threads), _blocks(samples)
+    workers, batches = _workers(threads), iter(batches)
     best, block, evals = [(-math.inf, None)] * len(thetas), [], []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        draws = deque(pool.submit(draw, *b) for b in islice(blocks, workers))  # W ahead
+        draws = deque(pool.submit(draw, b) for b in islice(batches, workers))  # W ahead
         while draws:
             done, block = (block, evals), draws.popleft().result()
             evals = [pool.submit(evaluate, theta, block) for theta in thetas]
-            fold(*done)  # in block order, and before the next draw: W + 1 blocks live
-            draws.extend(pool.submit(draw, *b) for b in islice(blocks, 1))  # the next, if any
+            fold(*done)  # in batch order, and before the next draw: W + 1 batches live
+            draws.extend(pool.submit(draw, b) for b in islice(batches, 1))  # the next, if any
         fold(block, evals)
-    maxima, witnesses = zip(*best)
+    return best
+
+
+def _cone_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
+    """`_max_scan` over the Monte-Carlo cone blocks of (seed, samples)."""
+    thetas = tuple(float(t) for t in thetas)
+    if not thetas:
+        raise DomainError("need at least one theta")
+    blocks = (partial(_draw_cone_block, seed, b, n, complex_z0) for b, n in _blocks(samples))
+    maxima, witnesses = zip(*_max_scan(thetas, blocks, threads))
     return ScanReport(
         thetas=thetas,
         max_abs_s=maxima,
@@ -271,7 +281,7 @@ def figure1_scan(
     """
     if thetas is None:
         thetas = default_theta_grid()
-    return _max_scan(thetas, seed, samples, threads, complex_z0=False)
+    return _cone_scan(thetas, seed, samples, threads, complex_z0=False)
 
 
 def complex_z0_scan(
@@ -281,7 +291,7 @@ def complex_z0_scan(
     threads: int | None = None,
 ) -> ScanReport:
     """Max |S| per theta with z0 drawn with a uniform phase (full cone)."""
-    return _max_scan(thetas, seed, samples, threads, complex_z0=True)
+    return _cone_scan(thetas, seed, samples, threads, complex_z0=True)
 
 
 _SCAN_CSV_HEADER = (
@@ -336,11 +346,9 @@ def thm1_threshold_scan(theta: float, threads: int | None = None) -> GridScanRes
     mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
     z2 = 1j * b[None, :]
-
-    def run(rows):
-        return _batch_max(theta, 0.0, 1j * b[rows, None], z2)
-
-    return GridScanResult(*_first_max(_pool_map(run, _row_slices(b.size, b.size), threads)))
+    bands = (partial(np.broadcast_arrays, 0.0, 1j * b[rows, None], z2)
+             for rows in _row_slices(b.size, b.size))
+    return GridScanResult(*_max_scan((theta,), bands, threads)[0])
 
 
 def thm2_real_grid_scan(theta: float, threads: int | None = None) -> GridScanResult:
@@ -355,14 +363,9 @@ def thm2_real_grid_scan(theta: float, threads: int | None = None) -> GridScanRes
     z1 = -mags[:, None]
     z2 = -mags[None, :]
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
-
-    def run(batch):
-        t, rows = batch
-        return _batch_max(theta, t * y[rows], z1[rows], z2)
-
-    batches = [(t, rows) for t in np.linspace(-1.0, 1.0, 41)
-               for rows in _row_slices(mags.size, mags.size)]
-    return GridScanResult(*_first_max(_pool_map(run, batches, threads)))
+    bands = (partial(np.broadcast_arrays, t * y[rows], z1[rows], z2)
+             for t in np.linspace(-1.0, 1.0, 41) for rows in _row_slices(mags.size, mags.size))
+    return GridScanResult(*_max_scan((theta,), bands, threads)[0])
 
 
 def thm2_sharp_point(theta: float) -> SpectralPoint:
@@ -371,6 +374,7 @@ def thm2_sharp_point(theta: float) -> SpectralPoint:
     There S - 1 = (1 - 3 theta) / (2 theta^2): S = 1 at theta = 1/3 and S > 1
     below it (153/128 at theta = 0.32).
     """
+    check_theta(theta)
     return SpectralPoint(-2.0 / theta, -1.0 / theta, -1.0 / theta)
 
 
@@ -382,6 +386,7 @@ def thm3_cubic_coefficient(theta: float) -> float:
     C is computed exactly, from |S|^2 - 1 = (|N|^2 - |D|^2) / |D|^2 with
     |D|^2 = 1 + O(a), and rounded to a float.
     """
+    check_theta(theta)
     return certificates.thm3_cubic(theta)[0]
 
 

@@ -1,16 +1,7 @@
 """Plain-text problem files for the CLI solver.
 
 Format: one `key = value` per line, `#` comments, blank lines ignored.
-Recognized keys:
-
-    c1 c2 d11 d12 d21 d22   PDE coefficients           (default 0)
-    beta                    mixed-stencil weight       (default 0)
-    m1 m2 dx dy             grid                       (required)
-    dt theta                time step and parameter    (required)
-    steps                   number of steps            (default 1)
-    scheme                  mcs | douglas              (default mcs)
-    initial                 mode:K1,K2 | impulse | random:SEED
-                            (default mode:1,1)
+The recognized keys, with their types and defaults, are the table `_KEYS`.
 
 All validation problems surface as ConfigError so the CLI can report them
 uniformly (exit code 2) without tracebacks.
@@ -18,17 +9,23 @@ uniformly (exit code 2) without tracebacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .spectrum import FourierMode, GridSpec, PdeCoefficients
 from .stability import DomainError, SchemeParams
 
-_FLOAT_KEYS = ("c1", "c2", "d11", "d12", "d21", "d22", "beta", "dx", "dy", "dt", "theta")
-_INT_KEYS = ("m1", "m2", "steps")
-_STR_KEYS = ("scheme", "initial")
-_REQUIRED = ("m1", "m2", "dx", "dy", "dt", "theta")
+#: key: (type, default) of every problem-file key; a default of None marks a required key.
+_KEYS = {
+    **dict.fromkeys(("c1", "c2", "d11", "d12", "d21", "d22"), (float, 0.0)),  # PDE coefficients
+    "beta": (float, 0.0),  # mixed-stencil weight
+    "m1": (int, None), "m2": (int, None), "dx": (float, None), "dy": (float, None),  # grid
+    "dt": (float, None), "theta": (float, None),  # time step and scheme parameter
+    "steps": (int, 1),  # number of steps
+    "scheme": (str, "mcs"),  # one of SCHEMES
+    "initial": (str, "mode:1,1"),  # mode:K1,K2 | impulse | random:SEED
+}
 #: The scheme names a problem file or a `--scheme` flag may give.
 SCHEMES = ("mcs", "douglas")
 
@@ -67,24 +64,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _convert(pairs: dict[str, str]) -> dict:
-    known = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
-    values: dict = {}
-    for key, raw in pairs.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            else:
-                values[key] = raw
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from exc
-    return values
-
-
 def _parse_initial(spec: str) -> tuple:
     """Structured form of an initial-condition spec; ConfigError if malformed."""
     if spec == "impulse":
@@ -115,40 +94,31 @@ def load_problem(path, overrides: dict[str, str] | None = None) -> ProblemSetup:
         raise ConfigError(f"cannot read problem file {path!r}: {exc}") from exc
     if overrides:
         pairs.update({k: str(v) for k, v in overrides.items()})
-    values = _convert(pairs)
+    values = {}
+    for key, raw in pairs.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            values[key] = _KEYS[key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from exc
 
-    missing = [key for key in _REQUIRED if key not in values]
+    missing = [key for key, (_, default) in _KEYS.items() if default is None and key not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    scheme = values.get("scheme", "mcs")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    steps = values.get("steps", 1)
-    if steps < 0:
-        raise ConfigError(f"steps must be nonnegative, got {steps}")
-    initial = values.get("initial", "mode:1,1")
-    _parse_initial(initial)
+    values = {key: values.get(key, default) for key, (_, default) in _KEYS.items()}
+    if values["scheme"] not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {values['scheme']!r}")
+    if values["steps"] < 0:
+        raise ConfigError(f"steps must be nonnegative, got {values['steps']}")
+    _parse_initial(values["initial"])
 
     try:
-        coeffs = PdeCoefficients(
-            c1=values.get("c1", 0.0),
-            c2=values.get("c2", 0.0),
-            d11=values.get("d11", 0.0),
-            d12=values.get("d12", 0.0),
-            d21=values.get("d21", 0.0),
-            d22=values.get("d22", 0.0),
-        )
-        grid = GridSpec(
-            m1=values["m1"],
-            m2=values["m2"],
-            dx=values["dx"],
-            dy=values["dy"],
-            beta=values.get("beta", 0.0),
-        )
-        params = SchemeParams(theta=values["theta"], dt=values["dt"])
+        coeffs, grid, params = (cls(**{f.name: values[f.name] for f in fields(cls)})
+                                for cls in (PdeCoefficients, GridSpec, SchemeParams))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return ProblemSetup(coeffs, grid, params, steps, scheme, initial)
+    return ProblemSetup(coeffs, grid, params, values["steps"], values["scheme"], values["initial"])
 
 
 def make_initial_field(grid: GridSpec, initial: str) -> np.ndarray:

@@ -193,59 +193,67 @@ def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _count_pending_tasks(monkeypatch):
+    """Patch in an executor that counts tasks submitted and not finished: [pending, peak]."""
+    lock = threading.Lock()
+    counts = [0, 0]
+
+    def finished(future):
+        with lock:
+            counts[0] -= 1
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            with lock:
+                counts[0] += 1
+                counts[1] = max(counts[1], counts[0])
+            future = super().submit(fn, *args, **kwargs)
+            future.add_done_callback(finished)
+            return future
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    return counts
+
+
 def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
     # The scan submits as it goes: at any time at most W draws and the theta
     # evaluations of W + 1 blocks are submitted and not finished, however
     # many blocks the sweep has (24 here, 504 evaluations in all).
     monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    lock = threading.Lock()
-    pending, peak = [0], [0]
-
-    def finished(future):
-        with lock:
-            pending[0] -= 1
-
-    class RecordingExecutor(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            with lock:
-                pending[0] += 1
-                peak[0] = max(peak[0], pending[0])
-            future = super().submit(fn, *args, **kwargs)
-            future.add_done_callback(finished)
-            return future
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
+    counts = _count_pending_tasks(monkeypatch)
     thetas = tuple(0.25 + k / 80.0 for k in range(21))
     want = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=1)
     for threads in (1, 2, 3):
-        peak[0] = 0
+        counts[1] = 0
         got = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=threads)
-        assert got == want and pending[0] == 0
-        assert len(thetas) <= peak[0] <= (threads + 1) * len(thetas) + threads
+        assert got == want and counts[0] == 0
+        assert len(thetas) <= counts[1] <= (threads + 1) * len(thetas) + threads
+
+
+def test_grid_scan_bookkeeping_does_not_grow_with_the_batch_count(monkeypatch):
+    # thm1's grid is 89 batches of one theta each: the grid scans run on the
+    # same pipeline, so at most W draws and W + 1 evaluations are pending
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    want = thm1_threshold_scan(0.3, threads=1)
+    counts = _count_pending_tasks(monkeypatch)
+    for threads in (1, 2, 3):
+        counts[1] = 0
+        assert thm1_threshold_scan(0.3, threads=threads) == want and counts[0] == 0
+        assert 1 <= counts[1] <= (threads + 1) + threads
 
 
 def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
-    workers = []
-
-    class RecordingExecutor(ThreadPoolExecutor):
-        def __init__(self, max_workers=None):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert analysis._pool_map(abs, [-1, 2], None) == [1, 2]
+    workers = [analysis._workers(None)]
     monkeypatch.delattr(os, "sched_getaffinity")
-    analysis._pool_map(abs, [-1], None)
-    analysis._pool_map(abs, [-1], 0)
-    analysis._pool_map(abs, [-1], 3)
+    workers += [analysis._workers(t) for t in (None, 0, 3)]
     assert workers == [3, 8, 1, 3]
 
 
 def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
-    # figure1's default scan is 3131 tasks; a thread per task is not a pool
+    # thm1's grid is 89 batches; a thread per task is not a pool
     workers = []
 
     class RecordingExecutor(ThreadPoolExecutor):
@@ -253,9 +261,10 @@ def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    want = thm1_threshold_scan(0.3, threads=1)
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert analysis._pool_map(abs, [-1, 2, -3, 4], 10**5) == [1, 2, 3, 4]
+    assert thm1_threshold_scan(0.3, threads=10**5) == want
     assert workers == [3]
 
 
@@ -513,11 +522,11 @@ def test_grid_scans_do_not_depend_on_threads_or_batching(monkeypatch):
     batch_max = analysis._batch_max
     sizes = set()
 
-    def first_batch_late(theta, z0, z1, z2):
+    def first_batch_late(theta, z0, z1, z2, zz=None):
         sizes.add(np.broadcast(z0, z1, z2).size)
         if z1.flat[0] == 1j * b[0]:
             time.sleep(0.02)
-        return batch_max(theta, z0, z1, z2)
+        return batch_max(theta, z0, z1, z2, zz)
 
     monkeypatch.setattr(analysis, "_batch_max", first_batch_late)
     for theta in (0.24, 0.25, 0.5, 1.0):
@@ -656,8 +665,13 @@ def test_witness_exists_below_threshold_only():
     thm4_witness_search,
     lambda t: lemma2_gap(t, -1.0 + 0.0j, -1.0 + 0.0j),
     lambda t: thm5_bound(t, 0.5, 0.0),
+    thm1_threshold_scan,
+    thm2_real_grid_scan,
+    thm2_sharp_point,
+    thm3_cubic_coefficient,
 ], ids=["verify_theorem", "figure1_scan", "complex_z0_scan", "thm4_witness_search",
-        "lemma2_gap", "thm5_bound"])
+        "lemma2_gap", "thm5_bound", "thm1_threshold_scan", "thm2_real_grid_scan",
+        "thm2_sharp_point", "thm3_cubic_coefficient"])
 def test_theta_outside_the_positive_reals_is_a_domain_error(call, theta):
     with pytest.raises(DomainError, match=f"^theta must be positive and finite, got {theta!r}$"):
         call(theta)
@@ -682,6 +696,13 @@ def test_witness_search_matches_point_by_point_loop(theta):
 
 def test_lemma2_gap_stays_nonnegative_under_sampling():
     assert lemma2_random_min_gap(seed=0, samples=200_000) >= -1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_lemma2_sweep_without_samples_is_a_domain_error(samples):
+    # a minimum over no draws would be inf, which passes every lower bound
+    with pytest.raises(DomainError, match="^samples must be positive$"):
+        lemma2_random_min_gap(seed=0, samples=samples)
 
 
 # -------------------------------------------------------------- verify_theorem
