@@ -39,10 +39,11 @@ dropped when the thread draws a Monte-Carlo block.
 
 Every scan over many batches -- the cone scans and the two grids -- runs on
 one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
-one pool of W threads: W batch draws run ahead, each with its batch's
-theta-free sum z0 + (z1 + z2); a drawn batch gets one task per theta
-(common random numbers), folded in batch order before the next draw, so at
-most W + 1 batches live and O(W * thetas) tasks wait at any batch count.
+one pool of W threads with W batch draws in flight: each draws its batch
+with the theta-free sum z0 + (z1 + z2) and submits one task per theta
+(common random numbers); the oldest batch is folded, in batch order, before
+the next draw, so at most W batches live and O(W * thetas) tasks wait at any
+batch count.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
@@ -219,35 +220,31 @@ def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
 def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
     """(max |S|, first witness) per theta over `batches`, callables returning (z0, z1, z2).
 
-    The one scan driver: W batch draws run ahead on a pool of W threads, each
-    with the batch's theta-free sum z0 + (z1 + z2); a drawn batch gets one
-    `_batch_max` task per theta, folded in batch order before the next draw.
+    The one scan driver: W batch draws are in flight on a pool of W threads;
+    each draws its batch with the theta-free sum z0 + (z1 + z2) and submits
+    one `_batch_max` task per theta.  The oldest draw is folded, in batch
+    order, before the next is submitted.
     """
     for t in thetas:
         check_theta(t)
 
-    def draw(batch):
-        z0, z1, z2 = batch()
-        return [z0, z1, z2, z0 + (z1 + z2)]
-
     def evaluate(theta, block):  # the task holds the list, which the fold empties
         return _batch_max(theta, *block)
 
-    def fold(block, evals):  # one batch's (max, witness) per theta into the running maxima
-        for k, future in enumerate(evals):
-            best[k] = _first_max((best[k], future.result()))
-        block.clear()  # frees the arrays now; a worker drops its last task's arguments later
+    def draw(batch):
+        z0, z1, z2 = batch()
+        block = [z0, z1, z2, z0 + (z1 + z2)]
+        return block, [pool.submit(evaluate, theta, block) for theta in thetas]
 
     workers, batches = _workers(threads), iter(batches)
-    best, block, evals = [(-math.inf, None)] * len(thetas), [], []
+    best = [(-math.inf, None)] * len(thetas)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        draws = deque(pool.submit(draw, b) for b in islice(batches, workers))  # W ahead
-        while draws:
-            done, block = (block, evals), draws.popleft().result()
-            evals = [pool.submit(evaluate, theta, block) for theta in thetas]
-            fold(*done)  # in batch order, and before the next draw: W + 1 batches live
+        draws = deque(pool.submit(draw, b) for b in islice(batches, workers))
+        while draws:  # in batch order; the next draw waits, so at most W batches live
+            block, evals = draws.popleft().result()
+            best = [_first_max((kept, f.result())) for kept, f in zip(best, evals)]
+            block.clear()  # frees the arrays now; a worker drops its last task's arguments later
             draws.extend(pool.submit(draw, b) for b in islice(batches, 1))  # the next, if any
-        fold(block, evals)
     return best
 
 

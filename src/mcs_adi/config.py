@@ -79,9 +79,12 @@ def _parse_initial(spec: str) -> tuple:
             raise ConfigError(f"initial mode spec needs integers, got {spec!r}") from exc
     if spec.startswith("random:"):
         try:
-            return ("random", int(spec[len("random:"):]))
+            seed = int(spec[len("random:"):])
         except ValueError as exc:
             raise ConfigError(f"initial random spec needs 'random:SEED', got {spec!r}") from exc
+        if not 0 <= seed < 1 << 128:  # the Philox key range
+            raise ConfigError(f"initial random seed must be in [0, 2**128), got {spec!r}")
+        return ("random", seed)
     raise ConfigError(f"unknown initial condition {spec!r}")
 
 

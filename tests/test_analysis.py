@@ -150,11 +150,11 @@ def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
     assert len(seen) == 8
 
 
-def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
+def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
     # Small blocks make many of them; a block counts as alive from its draw
     # until its arrays are freed after the last of its tasks.  Eight workers
     # on a short switch interval stress the pipeline: a block drawn twice, or
-    # one still held when the next draws start, fails the counts.
+    # one still held when the next draw is submitted, fails the counts.
     monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     draw = analysis._draw_cone_block
     lock = threading.Lock()
@@ -188,37 +188,44 @@ def test_scan_holds_at_most_one_block_per_worker_plus_one(monkeypatch):
             assert got == want
             assert sorted(drawn) == list(range(24))
             assert alive[0] == 0
-            assert 1 <= peak[0] <= threads + 1
+            assert 1 <= peak[0] <= threads
     finally:
         sys.setswitchinterval(interval)
 
 
 def _count_pending_tasks(monkeypatch):
-    """Patch in an executor that counts tasks submitted and not finished: [pending, peak]."""
+    """Patch in an executor that counts tasks submitted and not returned: [pending, peak].
+
+    A task counts as returned before its future is done, so the scan never
+    sees a result whose task still counts as pending.
+    """
     lock = threading.Lock()
     counts = [0, 0]
 
-    def finished(future):
-        with lock:
-            counts[0] -= 1
+    def counted(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with lock:
+                counts[0] -= 1
 
     class RecordingExecutor(ThreadPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             with lock:
                 counts[0] += 1
                 counts[1] = max(counts[1], counts[0])
-            future = super().submit(fn, *args, **kwargs)
-            future.add_done_callback(finished)
-            return future
+            return super().submit(counted, fn, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     return counts
 
 
 def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
-    # The scan submits as it goes: at any time at most W draws and the theta
-    # evaluations of W + 1 blocks are submitted and not finished, however
-    # many blocks the sweep has (24 here, 504 evaluations in all).
+    # The scan submits as it goes: at most W blocks are in flight, each with
+    # its draw and its theta evaluations, so at most W * (thetas + 1) tasks
+    # are pending, however many blocks the sweep has (24 here, 504
+    # evaluations in all); a draw submits all its evaluations before it
+    # returns, so at least thetas + 1 are pending once.
     monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     counts = _count_pending_tasks(monkeypatch)
@@ -228,19 +235,81 @@ def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
         counts[1] = 0
         got = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=threads)
         assert got == want and counts[0] == 0
-        assert len(thetas) <= counts[1] <= (threads + 1) * len(thetas) + threads
+        assert len(thetas) + 1 <= counts[1] <= threads * (len(thetas) + 1)
 
 
 def test_grid_scan_bookkeeping_does_not_grow_with_the_batch_count(monkeypatch):
     # thm1's grid is 89 batches of one theta each: the grid scans run on the
-    # same pipeline, so at most W draws and W + 1 evaluations are pending
+    # same pipeline, so at most W batches with a draw and an evaluation each,
+    # 2 W tasks, are pending, and a draw with its evaluation, 2, at least once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     want = thm1_threshold_scan(0.3, threads=1)
     counts = _count_pending_tasks(monkeypatch)
     for threads in (1, 2, 3):
         counts[1] = 0
         assert thm1_threshold_scan(0.3, threads=threads) == want and counts[0] == 0
-        assert 1 <= counts[1] <= (threads + 1) + threads
+        assert 2 <= counts[1] <= 2 * threads
+
+
+def test_one_theta_grid_scan_evaluates_one_batch_per_worker_at_once(monkeypatch):
+    # thm2's grid is 41 batches of one theta.  The first min(W, 41)
+    # evaluations wait at a barrier of as many parties: a driver that runs
+    # fewer at once breaks it at the timeout, and the scan raises.
+    want = thm2_real_grid_scan(0.3, threads=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    batch_max = analysis._batch_max
+    lock = threading.Lock()
+    calls, running, peak = [0], [0], [0]
+
+    def held(theta, *block):
+        with lock:
+            calls[0] += 1
+            first = calls[0] <= barrier.parties
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            if first:
+                barrier.wait()
+            return batch_max(theta, *block)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(analysis, "_batch_max", held)
+    for threads in (2, 4, 8):
+        barrier = threading.Barrier(min(threads, 41), timeout=10.0)
+        calls[0] = peak[0] = 0
+        assert thm2_real_grid_scan(0.3, threads=threads) == want
+        assert peak[0] == min(threads, 41)
+
+
+def test_an_error_inside_a_scan_task_ends_the_scan_with_it(monkeypatch, capsys):
+    # the 5th of 2 blocks x 4 thetas fails; a draw may then still submit into
+    # the pool while it shuts down, which must neither hang nor leak a thread
+    batch_max = analysis._batch_max
+    lock = threading.Lock()
+    calls = [0]
+
+    def fifth_fails(*args):
+        with lock:
+            calls[0] += 1
+            fail = calls[0] == 5
+        if fail:
+            raise MemoryError("boom")
+        return batch_max(*args)
+
+    monkeypatch.setattr(analysis, "_batch_max", fifth_fails)
+    before = threading.active_count()
+    for threads in (1, 2, 3):
+        calls[0] = 0
+        with pytest.raises(MemoryError, match="^boom$"):
+            figure1_scan(seed=1, samples=SMALL, thetas=(0.26, 0.3, 0.4, 0.45), threads=threads)
+        assert threading.active_count() == before
+    calls[0] = 0
+    argv = ["figure1", "--samples", str(SMALL), "--theta-min", "0.3", "--theta-max", "0.31"]
+    assert main(argv + ["--theta-step", "0.0025", "--threads", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")
+    assert threading.active_count() == before
 
 
 def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):

@@ -105,6 +105,8 @@ def test_load_problem_overrides(config_path):
         {"initial": "blob"},         # unknown initial condition
         {"initial": "mode:1"},       # malformed mode spec
         {"initial": "random:x"},     # malformed seed
+        {"initial": "random:-1"},    # seed below the Philox key range
+        {"initial": f"random:{2**128}"},  # seed above it
     ],
 )
 def test_load_problem_rejects_bad_input(tmp_path, mutation):
@@ -681,7 +683,8 @@ _config_values = {
     "steps": hst.integers(-1, 3),
     "scheme": hst.sampled_from(["mcs", "douglas", "adi"]),
     "initial": hst.sampled_from(
-        ["mode:1,1", "mode:0,2", "mode:99,0", "mode:1", "impulse", "random:3", "random:x", "x"]
+        ["mode:1,1", "mode:0,2", "mode:99,0", "mode:1", "impulse", "random:3", "random:x",
+         "random:-1", "x"]
     ),
     "bogus": hst.integers(0, 1),
 }
