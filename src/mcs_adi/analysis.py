@@ -48,11 +48,14 @@ batch count.
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
 thread count.  Real and complex z0 scans own one stream each, lemma 2 a third.
+Seed and sample count are checked in one place, `_blocks`, which every seeded
+sweep and `verify_theorem` call: a seed outside [0, 2**64) is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -100,7 +103,7 @@ def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     The 128-bit Philox key carries (seed, stream); the counter is offset by
     the block index so blocks never overlap regardless of evaluation order.
     """
-    key = (int(seed) & ((1 << 64) - 1)) | (int(stream) << 64)
+    key = int(seed) | (int(stream) << 64)
     return np.random.Generator(np.random.Philox(key=key, counter=int(block) << 128))
 
 
@@ -160,8 +163,10 @@ def default_theta_grid() -> tuple[float, ...]:
     return tuple(0.25 + k / 400.0 for k in range(101))
 
 
-def _blocks(samples: int) -> Iterator[tuple[int, int]]:
-    """(block index, sample count) of each Monte-Carlo block of a sweep, lazily."""
+def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
+    """(block index, sample count) of each block of a sweep, lazily; checks both inputs first."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
     if samples <= 0:
         raise DomainError("samples must be positive")
     return (
@@ -238,13 +243,16 @@ def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
 
     workers, batches = _workers(threads), iter(batches)
     best = [(-math.inf, None)] * len(thetas)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         draws = deque(pool.submit(draw, b) for b in islice(batches, workers))
         while draws:  # in batch order; the next draw waits, so at most W batches live
             block, evals = draws.popleft().result()
             best = [_first_max((kept, f.result())) for kept, f in zip(best, evals)]
             block.clear()  # frees the arrays now; a worker drops its last task's arguments later
             draws.extend(pool.submit(draw, b) for b in islice(batches, 1))  # the next, if any
+    finally:  # after a failed task, the queued ones are dropped, not run
+        pool.shutdown(cancel_futures=True)
     return best
 
 
@@ -253,7 +261,8 @@ def _cone_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise DomainError("need at least one theta")
-    blocks = (partial(_draw_cone_block, seed, b, n, complex_z0) for b, n in _blocks(samples))
+    blocks = (partial(_draw_cone_block, seed, b, n, complex_z0)
+              for b, n in _blocks(seed, samples))
     maxima, witnesses = zip(*_max_scan(thetas, blocks, threads))
     return ScanReport(
         thetas=thetas,
@@ -443,7 +452,7 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     arithmetic; the observed minimum sits at roundoff scale.
     """
     worst = math.inf
-    for b, n in _blocks(samples):
+    for b, n in _blocks(seed, samples):
         r = _block_generator(seed, _LEMMA2_STREAM, b).random((n, 7))
         z1, z2 = _cone_z_pair(r)
         worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
@@ -593,5 +602,6 @@ def verify_theorem(
         check_theta(theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
+    _blocks(seed, samples)  # every theorem checks the scan inputs, used or not
     checks = (_thm1_checks, _thm2_checks, _thm3_checks, _thm4_checks, _thm5_checks)[n - 1]
     return checks(seed, samples, threads, theta)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -309,6 +310,28 @@ def test_an_error_inside_a_scan_task_ends_the_scan_with_it(monkeypatch, capsys):
     argv = ["figure1", "--samples", str(SMALL), "--theta-min", "0.3", "--theta-max", "0.31"]
     assert main(argv + ["--theta-step", "0.0025", "--threads", "2"]) == 2
     assert capsys.readouterr() == ("", "error: boom\n")
+    assert threading.active_count() == before
+
+
+def test_a_failed_scan_task_cancels_the_queued_ones(monkeypatch):
+    # 20 blocks x 101 thetas on one worker: the 5th evaluation fails while the
+    # other 96 of its block are queued; only the one the worker holds then runs
+    batch_max = analysis._batch_max
+    calls = [0]
+
+    def fifth_fails(*args):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise MemoryError("boom")
+        if calls[0] > 5:
+            time.sleep(0.02)  # gives the driver time to cancel before the next starts
+        return batch_max(*args)
+
+    monkeypatch.setattr(analysis, "_batch_max", fifth_fails)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="^boom$"):
+        figure1_scan(seed=1, samples=20 * BLOCK_SAMPLES, threads=1)
+    assert calls[0] <= 6
     assert threading.active_count() == before
 
 
@@ -765,6 +788,31 @@ def test_witness_search_matches_point_by_point_loop(theta):
 
 def test_lemma2_gap_stays_nonnegative_under_sampling():
     assert lemma2_random_min_gap(seed=0, samples=200_000) >= -1e-12
+
+
+_SEED_RANGE = "seed must be an integer in [0, 2**64), got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: figure1_scan(seed=2**64, samples=10), _SEED_RANGE + str(2**64)),
+    (lambda: figure1_scan(seed=1.5, samples=10), _SEED_RANGE + "1.5"),
+    (lambda: complex_z0_scan((0.3,), seed=-1, samples=10), _SEED_RANGE + "-1"),
+    (lambda: lemma2_random_min_gap(seed=2**64, samples=10), _SEED_RANGE + str(2**64)),
+    (lambda: verify_theorem(1, seed=-1), _SEED_RANGE + "-1"),
+    (lambda: verify_theorem(1, samples=0), "samples must be positive"),
+], ids=["figure1_scan-2**64", "figure1_scan-1.5", "complex_z0_scan--1", "lemma2-2**64",
+        "verify_theorem-seed", "verify_theorem-samples"])
+def test_scan_seed_and_sample_count_off_their_range_are_domain_errors(call, message):
+    # 2**64 would key Philox like seed 0 while the report records 2**64
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_scan_seed_range_ends_at_the_64_bit_key_word():
+    top = 2**64 - 1
+    assert figure1_scan(seed=np.uint64(top), samples=10, thetas=(0.3,)) == \
+        figure1_scan(seed=top, samples=10, thetas=(0.3,))
+    assert figure1_scan(seed=top, samples=10, thetas=(0.3,)).seed == top
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -309,6 +309,19 @@ def test_figure1_cli_custom_grid_stops_at_theta_max(capsys):
         assert float(lines[-1].split(",")[0]) == pytest.approx(float(hi), abs=1e-15)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["figure1", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["figure1", "--seed", str(2**64)], f"seed must be an integer in [0, 2**64), got {2**64}"),
+    (["figure1", "--samples", "0"], "samples must be positive"),
+    (["verify", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["verify", "--samples", "0"], "samples must be positive"),
+], ids=["figure1-seed--1", "figure1-seed-2**64", "figure1-samples-0", "verify-seed--1",
+        "verify-samples-0"])
+def test_seed_and_samples_errors_come_from_the_library_before_any_output(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_figure1_cli_flag_validation(capsys):
     assert main(["figure1", "--samples", "0"]) == 2
     assert main(["figure1", "--theta-step", "-0.01"]) == 2
