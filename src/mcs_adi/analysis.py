@@ -49,7 +49,8 @@ Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
 thread count.  Real and complex z0 scans own one stream each, lemma 2 a third.
 Seed and sample count are checked in one place, `_blocks`, which every seeded
-sweep and `verify_theorem` call: a seed outside [0, 2**64) is a DomainError.
+sweep and `verify_theorem` call: a seed outside [0, 2**64), or a sample
+count that is not a positive integer, is a DomainError.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
     """(block index, sample count) of each block of a sweep, lazily; checks both inputs first."""
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
+    if not isinstance(samples, numbers.Integral):
+        raise DomainError(f"samples must be an integer, got {samples}")
     if samples <= 0:
         raise DomainError("samples must be positive")
     return (

@@ -26,11 +26,13 @@ matrix is never cached and raises SingularSystemError on every call.  For
 solve lengths up to _DENSE_MAX that is the dense inverse of the stage
 matrix, made once by the FFT solve of the identity, and a solve is one
 matrix product with it (O(n) flops per point against O(log n) for the FFTs,
-so above _DENSE_MAX the FFT round trip is faster).  Above it the cache holds
-1/lam_k, as a multiply is cheaper than a complex division: the half spectrum
-for the y-solve, an rfft/irfft pair along the contiguous axis 1, and the
-full spectrum for the x-solve.  As the stage matrix M is real, the x-solve
-takes each pair of adjacent columns as one complex column,
+so above _DENSE_MAX the FFT round trip is faster), unless the stage is so
+ill conditioned that rounding in that product could fail the backward-error
+check below (the rule is derived in SplitOperators._stage).  Every other
+stage caches 1/lam_k, as a multiply is cheaper than a complex division: the
+half spectrum for the y-solve, an rfft/irfft pair along the contiguous axis
+1, and the full spectrum for the x-solve.  As the stage matrix M is real,
+the x-solve takes each pair of adjacent columns as one complex column,
 M^-1 (u_2l + i u_2l+1) = M^-1 u_2l + i M^-1 u_2l+1, and runs a complex
 fft/ifft pair along axis 0 of the complex128 view of the field, of shape
 (m1, m2 / 2), which costs less than an rfft/irfft pair along the strided
@@ -38,12 +40,10 @@ axis 0.  A right-hand side that is not a C-ordered float64 field of even
 width is first copied into a zero-padded workspace array, so the FFTs
 always run in double precision.
 Every solve is verified a posteriori by its normwise backward error in
-physical space.  A dense solve that fails the check by no more than the
-rounding of its product with the inverse explains is refined once with the
-same inverse and checked again.
+physical space.
 
 Every tridiagonal product, A_j u for j = 1, 2 and M x of a stage matrix in
-the backward-error check and its refinement, is formed by one kernel as
+the backward-error check, is formed by one kernel as
 (diag u + sub u[i-1]) + sup u[i+1].  Its periodic shifts are not rolled
 copies of the field.  The product weight * u[i - 1] along axis 0 reads row
 slices of u, and the wrap row on its own.  Along axis 1 it is one multiply
@@ -177,13 +177,24 @@ class SplitOperators:
 
         Raises SingularSystemError when the eigenvalues lam_k of M have
         min|lam_k| <= n eps max|lam_k|.  Only stages that passed this check
-        are cached, so a singular key raises on every call.  For
-        n <= _DENSE_MAX, inv is the real matrix with x = inv @ rhs (j = 1) or
-        x = rhs @ inv (j = 2), i.e. M^-1 or its transpose, and rlam is None.
-        Otherwise inv is None and rlam holds 1/lam_k in the layout its FFT
-        path multiplies by: the full spectrum, shape (n, 1), for the fft of
-        the x-solve, and the half spectrum, shape (n // 2 + 1,), for the rfft
-        of the y-solve.
+        are cached, so a singular key raises on every call.
+
+        inv is the real matrix with x = inv @ rhs (j = 1) or x = rhs @ inv
+        (j = 2), M^-1 or its transpose, made by FFT solves of the identity.
+        It is kept iff n <= _DENSE_MAX and n u ||M|| ||inv|| <= _RESIDUAL_RTOL
+        (max-norms, u the unit roundoff).  Rounding in the product leaves
+        |x - inv rhs| <= n u |inv| |rhs| entrywise, which adds at most
+        n u ||M|| ||inv|| ||rhs|| to the residual M x - rhs (the solves that
+        form inv leave one of the same order); the backward-error bound of
+        solve_directional is at least _RESIDUAL_RTOL ||rhs||, so under the
+        rule a dense solve passes it for any rhs.  Beyond the rule, large
+        entries of inv can cancel (on a rhs of one Fourier mode) and miss it,
+        so such a stage takes the FFT solve, whose residual is a few
+        u log n (||M|| ||x|| + ||rhs||) at any conditioning that passes the
+        eigenvalue test.  Then inv is None and rlam holds 1/lam_k in the
+        layout its FFT path multiplies by: the full spectrum, shape (n, 1),
+        for the fft of the x-solve, and the half spectrum, shape
+        (n // 2 + 1,), for the rfft of the y-solve; a dense stage has rlam None.
         """
         stage = self._stages.get((j, theta_dt))
         if stage is not None:
@@ -195,14 +206,17 @@ class SplitOperators:
         mag = np.abs(lam)
         if not mag.min() > n * np.finfo(float).eps * mag.max():
             raise SingularSystemError(
-                f"direction {j} system with theta*dt = {theta_dt!r} is singular "
-                f"(min |eigenvalue| {mag.min():.3e}, max {mag.max():.3e})"
+                f"direction {j} system with theta*dt = {theta_dt!r} has min |eigenvalue| "
+                f"<= n eps max |eigenvalue| (min {mag.min():.3e}, max {mag.max():.3e}, n = {n})"
             )
         rlam = inv = None
         if n <= _DENSE_MAX:
-            lam = lam[:, None] if j == 1 else lam
-            inv = np.fft.irfft(np.fft.rfft(np.eye(n), axis=j - 1) / lam, n=n, axis=j - 1)
-        else:
+            eye_hat = np.fft.rfft(np.eye(n), axis=j - 1)
+            inv = np.fft.irfft(eye_hat / (lam[:, None] if j == 1 else lam), n=n, axis=j - 1)
+            norm_m = abs(m_diag) + abs(m_sub) + abs(m_sup)
+            if n * _EPS * norm_m * np.abs(inv).sum(axis=2 - j).max() > _RESIDUAL_RTOL:
+                inv = None
+        if inv is None:
             rlam = 1.0 / lam
             if j == 1:  # lam_{n-k} = conj(lam_k) completes the spectrum of a real M
                 rlam = np.concatenate([rlam, rlam[1 : (n + 1) // 2][::-1].conj()])[:, None]
@@ -367,10 +381,10 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     The stage matrix M, with stencil (m_sub, m_diag, m_sup), is circulant
     along axis j - 1, so Fourier mode k of n is an eigenvector of M with
     eigenvalue lam_k = m_diag + (m_sub + m_sup) cos(phi_k) + i (m_sup - m_sub)
-    sin(phi_k), phi_k = 2 pi k / n.  For n <= _DENSE_MAX all grid lines are
-    solved at once by one product with the cached inverse of M.  Above it,
-    the y-solve is an rfft along axis 1, a product with the cached 1/lam_k
-    and the irfft.  The x-solve uses that M is real, so that
+    sin(phi_k), phi_k = 2 pi k / n.  Where SplitOperators._stage keeps the
+    dense inverse of M, all grid lines are solved at once by one product
+    with it.  Otherwise the y-solve is an rfft along axis 1, a product with
+    the cached 1/lam_k and the irfft.  The x-solve uses that M is real, so that
     M^-1 (u_even + i u_odd) = M^-1 u_even + i M^-1 u_odd for the column
     pairs of rhs: it runs a complex fft along axis 0 of the complex128 view
     of rhs, of shape (m1, m2 / 2), multiplies by 1/lam_k and views the ifft
@@ -384,12 +398,7 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     whatever the right-hand side (for PSD operators and theta_dt > 0 every
     |lam_k| >= 1), and when x misses the normwise backward error
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf), checked in
-    physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.  A dense
-    solve whose residual misses it but stays within n u ||M||_inf
-    ||inv||_inf ||rhs||_inf (u the unit roundoff), the most that rounding in
-    the product with inv leaves, gets one step of iterative refinement,
-    x += inv (rhs - M x), and fails only if the refined x misses the check
-    too; a solve that passes the first check is returned unchanged.
+    physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.
     """
     rhs = validate_field(ops.grid, rhs)
     m_sub, m_diag, m_sup, rlam, inv = ops._stage(j, theta_dt)
@@ -411,22 +420,8 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
         xh = np.fft.rfft(np.asarray(rhs, dtype=np.float64), axis=1)
         xh *= rlam
         x = np.fft.irfft(xh, n=rhs.shape[1], axis=1)
-    norm_m = abs(m_diag) + abs(m_sub) + abs(m_sup)
     residual, x_max, rhs_max = _check_peaks(ws, j, m_sub, m_diag, m_sup, x, rhs)
-    if not residual <= _RESIDUAL_RTOL * (norm_m * x_max + rhs_max) and inv is not None:
-        # large entries of inv can cancel against a rhs of one Fourier mode;
-        # a residual within what rounding in the product explains is refined
-        # once with the same inverse, a larger one means a wrong inverse
-        inv_norm = float(np.abs(inv).sum(axis=2 - j).max())
-        if residual <= inv.shape[0] * _EPS * norm_m * inv_norm * rhs_max:
-            r = np.empty(x.shape)
-            src = x if j == 1 else x.reshape(-1)
-            for band in ws.bands:  # r = rhs - M x
-                r_band = _band_product(band, j, m_sub, m_diag, m_sup, x, src, r[band.rows])
-                np.subtract(rhs[band.rows], r_band, out=r_band)
-            x = x + (inv @ r if j == 1 else r @ inv)
-            residual, x_max, rhs_max = _check_peaks(ws, j, m_sub, m_diag, m_sup, x, rhs)
-    bound = _RESIDUAL_RTOL * (norm_m * x_max + rhs_max)
+    bound = _RESIDUAL_RTOL * ((abs(m_diag) + abs(m_sub) + abs(m_sup)) * x_max + rhs_max)
     if not residual <= bound:
         raise SingularSystemError(
             f"direction {j} solve failed the backward-error check "

@@ -815,6 +815,17 @@ def test_scan_seed_range_ends_at_the_64_bit_key_word():
     assert figure1_scan(seed=top, samples=10, thetas=(0.3,)).seed == top
 
 
+@pytest.mark.parametrize("call", [
+    lambda: figure1_scan(seed=0, samples=1.5, thetas=(0.3,)),
+    lambda: lemma2_random_min_gap(samples=2.0),
+    lambda: verify_theorem(1, samples=1.5),
+], ids=["figure1_scan", "lemma2", "verify_theorem"])
+def test_scan_sample_count_must_be_an_integer(call):
+    # a float count used to reach range() and raise a bare TypeError
+    with pytest.raises(DomainError, match="^samples must be an integer, got "):
+        call()
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_lemma2_sweep_without_samples_is_a_domain_error(samples):
     # a minimum over no draws would be inf, which passes every lower bound

@@ -245,8 +245,9 @@ def test_solve_cli_stiff_psd_problem_matches_closed_form(tmp_path, capsys):
 @pytest.mark.parametrize("scheme", ["mcs", "douglas"])
 def test_amplification_cli_stiff_problem_has_no_false_breakdown(scheme, tmp_path, capsys):
     # the stiff problem above, one Fourier mode at a time: the large k = 0
-    # entries of the dense inverses cancel against a one-mode rhs, which missed
-    # the backward-error check on most modes until a solve was refined once
+    # entries of a dense inverse would cancel against a one-mode rhs and miss
+    # the backward-error check, so these stages (n u ||M|| ||inv|| past the
+    # residual tolerance) are solved by FFTs; measured worst 2.8e-15 (mcs)
     path = tmp_path / "stiff.cfg"
     path.write_text(
         "m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\nc1 = 1\nd11 = 0.05\nd22 = 0.05\n"
@@ -263,6 +264,34 @@ def test_amplification_cli_stiff_problem_has_no_false_breakdown(scheme, tmp_path
             out = dict(line.split(" = ", 1) for line in captured.out.splitlines())
             worst = max(worst, float(out["rel_diff"]))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("dt", [1e11, 1e12, 1e13])
+def test_solve_cli_stiff_step_stays_within_the_stage_cancellation_limit(dt, tmp_path, capsys):
+    # a positive-semidefinite problem whose stage matrices are well posed
+    # (|eigenvalues| >= 1, spread below 1 / (n eps)) runs at any dt.  Its
+    # accuracy is limited by the stage form: Y0 = U + dt A U has entries up to
+    # dt ||A||_inf max|u0|, the stages cancel them back to O(max|u0|), and the
+    # solves (M-matrices, ||M^-1||_inf = 1) do not amplify what rounding leaves
+    # of them, so the step errs by at most c eps dt ||A||_inf max|u0|.  The few
+    # roundings of that size mostly cancel: c = 1 holds with room to spare
+    # (measured 0.013 to 0.019, at most 1.1e-15 dt)
+    path = tmp_path / "stiff.cfg"
+    path.write_text(
+        "m1 = 16\nm2 = 16\ndx = 0.0625\ndy = 0.0625\nd11 = 0.05\nd22 = 0.03\n"
+        f"theta = 0.5\ndt = {dt!r}\nsteps = 1\ninitial = random:1\n"
+    )
+    out = tmp_path / "field.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    setup = load_problem(path)
+    u0 = make_initial_field(setup.grid, setup.initial)
+    s = stability_function(0.5, *fourier_symbol_grid(setup.coeffs, setup.grid, dt))
+    want = np.fft.ifft2(s * np.fft.fft2(u0)).real
+    got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2].reshape(setup.grid.shape)
+    norm_a = 4.0 * (0.05 + 0.03) / 0.0625**2  # A1 + A2 row sums; A0 = 0
+    bound = np.finfo(float).eps * dt * norm_a * float(np.max(np.abs(u0)))
+    assert float(np.max(np.abs(got - want))) <= bound
 
 
 # ---------------------------------------------------------------- figure1 CLI
