@@ -33,9 +33,7 @@ evaluates a batch of triplets with one `stability_function` call and
 returns the first maximum with its witness, and `_first_max` folds the
 batches in a fixed order with a strict >, so the reported witness depends
 neither on the batch size nor on the thread count.  A batch holds at most
-BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows) and is
-evaluated into its worker thread's reused workspace of four such arrays,
-dropped when the thread draws a Monte-Carlo block.
+BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows).
 
 Every scan over many batches -- the cone scans and the two grids -- runs on
 one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
@@ -58,7 +56,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,7 +125,6 @@ def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
     uniform phase, and the block comes from the complex-z0 stream.
     """
-    vars(_scratch).pop("work", None)  # this thread's workspace is not held while it draws
     g = _block_generator(seed, _COMPLEX_STREAM_BASE if complex_z0 else 0, block)
     r = g.random((n, 8 if complex_z0 else 7))
     z1, z2 = _cone_z_pair(r)
@@ -178,21 +174,12 @@ def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
     )
 
 
-#: `work`: this thread's four scratch arrays for `_batch_max`; |S| goes in the last.
-_scratch = threading.local()
-
-
 def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point."""
-    n = np.broadcast(z0, z1, z2).size
-    work = getattr(_scratch, "work", None)
-    if work is None or work[0].size < n:
-        work = _scratch.work = [np.empty(max(n, BLOCK_SAMPLES), complex) for _ in range(4)]
     # an overflow shows as a NaN or inf maximum, which callers report; set here
     # because pool threads do not inherit the submitting thread's errstate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = stability_function(theta, z0, z1, z2, work=work, zz=zz)
-        v = np.abs(s, out=work[3].view(float)[:n].reshape(s.shape))
+        v = np.abs(stability_function(theta, z0, z1, z2, zz=zz))
     i = np.unravel_index(int(np.argmax(v)), v.shape)
     return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
 
@@ -201,6 +188,8 @@ def _workers(threads) -> int:
     """Pool size: `threads`, at least one, at most the usable CPUs (their count by default)."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if not (threads is None or isinstance(threads, numbers.Integral)):
+        raise DomainError(f"threads must be an integer, got {threads!r}")
     # capped: the executor starts a thread per task submitted while none is idle
     return cpus if threads is None else max(min(threads, cpus), 1)
 

@@ -25,6 +25,7 @@ measures the margin over every mode of a grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,12 @@ class GridSpec:
     beta: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.m1, numbers.Integral) and isinstance(self.m2, numbers.Integral)):
+            raise DomainError(f"grid sizes must be integers, got {self.m1!r}x{self.m2!r}")
         if self.m1 < 3 or self.m2 < 3:
             raise DomainError(f"need at least 3 points per direction, got {self.m1}x{self.m2}")
-        if self.m1 * self.m2 * 16 > np.iinfo(np.intp).max:  # a complex128 field's bytes
+        # a complex128 field's bytes, on Python ints: a numpy product would wrap
+        if int(self.m1) * int(self.m2) * 16 > np.iinfo(np.intp).max:
             raise DomainError(f"grid {self.m1}x{self.m2} is too large for this machine's arrays")
         # min(dx, dy)**2 > 0 also keeps dx*dx, dy*dy and dx*dy from underflowing to 0
         spacings_ok = 0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf
@@ -124,6 +128,8 @@ class FourierMode:
     k2: int
 
     def __post_init__(self):
+        if not (isinstance(self.k1, numbers.Integral) and isinstance(self.k2, numbers.Integral)):
+            raise DomainError(f"wavenumbers must be integers, got {(self.k1, self.k2)}")
         if self.k1 < 0 or self.k2 < 0:
             raise DomainError(f"wavenumbers must be nonnegative, got {(self.k1, self.k2)}")
 

@@ -95,23 +95,18 @@ class SpectralPoint:
         return (1.0 - theta * self.z1) * (1.0 - theta * self.z2)
 
 
-def stability_function(theta, z0, z1, z2, work=None, zz=None):
+def stability_function(theta, z0, z1, z2, zz=None):
     """Amplification factor of one MCS step, additive form.
 
     Broadcasts over numpy arrays; no pole or consistency checks are applied
     (this is the hot path of the scans).  S is built by ufunc `out=` calls,
     in the order of 1 + zz/p + ((theta*z0)*zz + ((1/2 - theta)*zz)*zz)/(p*p),
-    zz = z0 + (z1 + z2), in four arrays of dtype result_type(z0, z1, z2, float):
-    fresh ones, or views of `work`, four 1-D complex arrays of at least the
-    broadcast size.  With `work` the result is a view of work[0], valid until
-    its next use.  Many thetas on one batch may share a precomputed, read-only `zz`.
+    zz = z0 + (z1 + z2), in four fresh arrays of dtype result_type(z0, z1, z2,
+    float).  Many thetas on one batch may share a precomputed, read-only `zz`.
     """
     dtype = np.result_type(z0, z1, z2, 1.0)
     shape = np.broadcast_shapes(np.shape(theta), np.shape(z0), np.shape(z1), np.shape(z2))
-    n = math.prod(shape)
-    if work is None:
-        work = [np.empty(n, dtype) for _ in range(4)]
-    s, p, zw, t = (w.view(dtype)[:n].reshape(shape) for w in work)
+    s, p, zw, t = (np.empty(shape, dtype) for _ in range(4))
     if zz is None:
         zz = np.add(z0, np.add(z1, z2, out=s), out=zw)
     np.subtract(1.0, np.multiply(theta, z1, out=p), out=p)

@@ -140,10 +140,10 @@ def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
     # stability_function would compute it itself
     seen = []
 
-    def checked(theta, z0, z1, z2, work=None, zz=None):
+    def checked(theta, z0, z1, z2, zz=None):
         seen.append(theta)
         assert zz is not None and np.array_equal(zz, z0 + (z1 + z2))
-        return stability_function(theta, z0, z1, z2, work=work, zz=zz)
+        return stability_function(theta, z0, z1, z2, zz=zz)
 
     monkeypatch.setattr(analysis, "stability_function", checked)
     figure1_scan(seed=4, samples=SMALL, thetas=(0.3, 0.45), threads=2)
@@ -344,6 +344,14 @@ def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
     assert workers == [3, 8, 1, 3]
 
 
+def test_non_integer_thread_count_is_a_domain_error(monkeypatch):
+    # checked before the pool starts (the executor here is not callable)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", None)
+    for threads in (1.5, "2"):
+        with pytest.raises(DomainError, match="threads must be an integer"):
+            figure1_scan(samples=10, thetas=(0.3,), threads=threads)
+
+
 def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
     # thm1's grid is 89 batches; a thread per task is not a pool
     workers = []
@@ -464,6 +472,11 @@ def test_real_cone_scan_blows_up_below_third():
 def _c1(theta):
     t = Fraction(theta)
     return (2 * t - 1) ** 2 * (4 * t - 1) / 4
+
+
+def _c3(theta):
+    t = Fraction(theta)
+    return 40 * t * t - 16 * t
 
 
 def _exact_abs2(theta, pt):
@@ -649,24 +662,27 @@ def _full_batches():
     y = 2.0 * np.sqrt(mags2[:, None] * mags2[None, :])
     return {
         "complex_block": analysis._draw_cone_block(2, 0, BLOCK_SAMPLES, True),
+        "real_block": analysis._draw_cone_block(2, 1, BLOCK_SAMPLES, False),
         "thm1_band": (0.0, 1j * b[rows, None], 1j * b[None, :]),
         "thm2_band": (-0.5 * y, -mags2[:, None], -mags2[None, :]),
     }
 
 
-@pytest.mark.parametrize("kind", ["complex_block", "thm1_band", "thm2_band"])
-def test_batch_max_allocates_no_temporaries_once_warm(kind):
-    # each batch used to allocate about 6 MiB of fresh temporaries; with the
-    # per-thread workspace only the witness and a few index arrays are new
+@pytest.mark.parametrize("kind", ["complex_block", "real_block", "thm1_band", "thm2_band"])
+def test_batch_max_holds_at_most_four_complex_arrays_of_its_batch(kind):
+    # _max_scan keeps W batches alive on the assumption that evaluating one
+    # costs O(batch): S's four arrays, then |S| beside S.  Called as the scan
+    # calls it, with the block's theta-free sum.
     batch = _full_batches()[kind]
-    analysis._batch_max(0.3, *batch)  # warm-up: allocates this thread's workspace
+    n = np.broadcast(*batch).size
+    zz = batch[0] + (batch[1] + batch[2])
     tracemalloc.start()
     try:
-        val, wit = analysis._batch_max(0.3, *batch)
+        val, wit = analysis._batch_max(0.3, *batch, zz)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak <= 4 * 16 * n + (256 << 10)
     assert abs(eval_stability_function(0.3, wit)) == pytest.approx(val, rel=1e-12)
 
 
@@ -946,6 +962,12 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
         "ratio_argmax_at_2": 2.0,
         "ratio_max_is_5_12": 5.0 / 12.0,
         "ratio_at_2_exact": 5.0 / 12.0,
+        "cubic_coefficient_at_0_38": float(_c3(0.38)),
+        "error_term_negative_at_0_38": float(_c3(0.38)),
+        "cubic_coefficient_at_0_4": float(_c3(0.4)),
+        "error_term_vanishes_at_0_4": float(_c3(0.4)),
+        "cubic_coefficient_at_0_42": float(_c3(0.42)),
+        "error_term_positive_at_0_42": float(_c3(0.42)),
     }
     assert {name: checks[n, name].measured for n, name in checks if name in exact} == exact
 

@@ -67,6 +67,20 @@ def test_grid_validation():
         GridSpec(m1=4, m2=4, dx=0.1, dy=0.1, beta=1.5)
 
 
+def test_grid_and_mode_reject_non_integers():
+    # a float size fails later with a bare TypeError; a float wavenumber
+    # answers for a wave that is not a grid mode
+    with pytest.raises(DomainError, match="integers"):
+        GridSpec(m1=4.5, m2=4, dx=1.0, dy=1.0)
+    with pytest.raises(DomainError, match="integers"):
+        FourierMode(1.5, 0)
+    # the numpy product 2**32 * 2**32 wraps to 0 and would pass the size guard
+    with pytest.raises(DomainError, match="too large"):
+        GridSpec(np.int64(2**32), np.int64(2**32), 1.0, 1.0)
+    assert GridSpec(np.int64(4), np.int64(5), 1.0, 1.0).shape == (4, 5)
+    assert FourierMode(np.int64(1), 0).phases(GridSpec(4, 4, 1.0, 1.0)) == (math.pi / 2.0, 0.0)
+
+
 def test_grid_shape_and_scales():
     g = GridSpec(m1=6, m2=8, dx=0.5, dy=0.25)
     assert g.shape == (6, 8)

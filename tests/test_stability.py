@@ -105,7 +105,7 @@ def test_stability_function_broadcasts():
 
 
 def _reference_stability_function(theta, z0, z1, z2):
-    # the out-of-place expression the scratch-buffer evaluation must match
+    # the out-of-place expression the in-place evaluation must match
     z = z1 + z2
     p = (1.0 - theta * z1) * (1.0 - theta * z2)
     zz = z0 + z
@@ -138,35 +138,18 @@ def _scan_batches():
 
 
 @pytest.mark.parametrize("theta", [0.24, 0.25, 1.0 / 3.0, 0.4, 5.0 / 12.0, 0.5, 1.0])
-def test_scratch_evaluation_is_bit_identical_to_the_expression(theta):
-    work = [np.empty(BLOCK_SAMPLES, complex) for _ in range(4)]
+def test_evaluation_is_bit_identical_to_the_expression(theta):
     for name, z0, z1, z2 in _scan_batches():
         want = _reference_stability_function(theta, z0, z1, z2)
         got = stability_function(theta, z0, z1, z2)
-        reused = stability_function(theta, z0, z1, z2, work=work)
-        assert np.asarray(want).dtype == np.asarray(got).dtype == np.asarray(reused).dtype, name
-        assert np.array_equal(want, got) and np.array_equal(want, reused), name
+        assert np.asarray(want).dtype == np.asarray(got).dtype, name
+        assert np.array_equal(want, got), name
         # the scans hand in the theta-free sum once per block
-        hoisted = stability_function(theta, z0, z1, z2, work=work, zz=z0 + (z1 + z2))
+        hoisted = stability_function(theta, z0, z1, z2, zz=z0 + (z1 + z2))
         assert np.asarray(hoisted).dtype == np.asarray(want).dtype, name
-        assert np.array_equal(want, hoisted) and np.array_equal(
-            want, stability_function(theta, z0, z1, z2, zz=z0 + (z1 + z2))), name
+        assert np.array_equal(want, hoisted), name
         if name == "thm2_band":
-            assert reused.dtype == np.float64
-        elif name != "scalar":
-            assert np.shares_memory(reused, work[0])
-
-
-def test_one_workspace_survives_a_dtype_switch():
-    work = [np.empty(BLOCK_SAMPLES, complex) for _ in range(4)]
-    batches = {name: zs for name, *zs in _scan_batches()}
-    results = []
-    for name in ("thm1_band_0", "thm2_band", "thm1_band_0", "thm2_band"):
-        got = stability_function(0.3, *batches[name], work=work).copy()
-        assert np.array_equal(got, _reference_stability_function(0.3, *batches[name]))
-        results.append(got)
-    assert results[0].dtype == complex and results[1].dtype == np.float64
-    assert np.array_equal(results[0], results[2]) and np.array_equal(results[1], results[3])
+            assert got.dtype == np.float64
 
 
 def test_eval_raises_at_pole():
