@@ -559,12 +559,16 @@ def _thm4_checks(seed, samples, threads, theta) -> list[CheckResult]:
 
 def _thm5_checks(seed, samples, threads, theta) -> list[CheckResult]:
     """The phase-monotone bound behind 1/2, and the sampled complex-z0 cone maximum above it."""
-    radii, phases = np.linspace(0.0, 1.0, 101), np.linspace(0.0, math.pi, 361)
-    off_1 = max(float(np.max(np.abs(np.asarray(thm5_bound(t, radii, 0.0)) - 1.0)))
-                for t in (0.5, 0.75, 1.0))
-    rise = max(float(np.max(np.diff(np.asarray(thm5_bound(t, r, phases)))))
-               for t in (0.5, 0.6, 0.75, 0.9, 1.0) for r in np.linspace(0.0, 1.0, 21))
+    # the scan goes first: run after the grids, whose temporaries reach 0.6 MB
+    # each, it left the process's peak RSS about 1.5 MiB higher
     scan = complex_z0_scan((0.5, 0.75), seed=seed, samples=samples, threads=threads)
+    # one broadcast call per grid: theta runs down the leading axis, phi along the last
+    radii, phases = np.linspace(0.0, 1.0, 101), np.linspace(0.0, math.pi, 361)
+    flat = thm5_bound(np.array([[0.5], [0.75], [1.0]]), radii, 0.0)
+    off_1 = float(np.max(np.abs(flat - 1.0)))
+    curves = thm5_bound(np.array([0.5, 0.6, 0.75, 0.9, 1.0])[:, None, None],
+                        np.linspace(0.0, 1.0, 21)[:, None], phases)
+    rise = float(np.max(np.diff(curves)))
     return [
         CheckResult("bound_equals_1_at_phi_0", off_1, off_1 <= 1e-13,
                     "the cone bound collapses to 1 at phase 0 for theta in {1/2, 3/4, 1}"),

@@ -3,8 +3,12 @@
 A polynomial is a list of coefficients (index = power), a complex one a
 (re, im) pair of them.  `mcs_parts` expands S = N/D exactly, and each thmN_*
 certificate proves one polynomial identity, raising ArithmeticError when it
-fails.  The package registers this module lazily, so it runs, and loads
-`fractions` and `decimal`, only when a certificate does.
+fails.  The expansion runs over the integers: with theta = a/b it builds
+4 b^4 N and 4 b^4 D from integer constants, so integer z-coefficients keep
+every intermediate an int, and it divides each coefficient once, by 4 b^4,
+into the exact Fractions it returns.  The package registers this module
+lazily, so it runs, and loads `fractions` and `decimal`, only when a
+certificate does.
 """
 
 from __future__ import annotations
@@ -49,19 +53,32 @@ def _abs2(u):
     return _padd(_pmul(u[0], u[0]), _pmul(u[1], u[1]))
 
 
+def _cdiv(u, s):
+    """Complex polynomial u divided by the int s, as exact Fractions."""
+    return [Fraction(c, s) for c in u[0]], [Fraction(c, s) for c in u[1]]
+
+
 def mcs_parts(theta, z0, z1, z2):
     """Numerator N and denominator D = p^2 of S = N/D for complex polynomials z0, z1, z2.
 
-    theta is exact (a Fraction).  From the additive form of `stability_function`:
+    theta is exact (a Fraction or an int).  From the additive form of `stability_function`:
     N = p^2 + zz p + theta z0 zz + (1/2 - theta) zz^2 with
     p = (1 - theta z1)(1 - theta z2) and zz = z0 + z1 + z2.
+
+    With theta = a/b the expansion runs on integer constants: P = 2 (b - a z1)(b - a z2)
+    = 2 b^2 p, ZZ = 2 b^2 zz and T = 2 a b z0 + b (b - 2 a) zz give
+    4 b^4 N = P^2 + ZZ P + ZZ T and 4 b^4 D = P^2, so for integer z-coefficients
+    every intermediate is an int, and each coefficient is divided once, by 4 b^4.
     """
-    one, minus = ([1], []), ([-theta], [])
-    p = _cmul(_cadd(one, _cmul(minus, z1)), _cadd(one, _cmul(minus, z2)))
-    zz = _cadd(z0, _cadd(z1, z2))
+    a, b = theta.as_integer_ratio()
+    den, minus = ([b], []), ([-a], [])
+    p = _cmul(([2], []), _cmul(_cadd(den, _cmul(minus, z1)), _cadd(den, _cmul(minus, z2))))
+    zs = _cadd(z0, _cadd(z1, z2))
+    zz = _cmul(([2 * b * b], []), zs)
     d = _cmul(p, p)
-    tail = _cadd(_cmul(([theta], []), z0), _cmul(([(1 - 2 * theta) / 2], []), zz))
-    return _cadd(_cadd(d, _cmul(zz, p)), _cmul(zz, tail)), d
+    tail = _cadd(_cmul(([2 * a * b], []), z0), _cmul(([b * (b - 2 * a)], []), zs))
+    n = _cadd(_cadd(d, _cmul(zz, p)), _cmul(zz, tail))
+    return _cdiv(n, 4 * b**4), _cdiv(d, 4 * b**4)
 
 
 def thm1_coefficient(theta: float) -> float:

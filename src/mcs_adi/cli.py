@@ -140,15 +140,16 @@ def cmd_solve(args) -> int:
     ops = solver.build_split_operators(setup.coeffs, setup.grid)
     step = solver.get_step_function(setup.scheme)
     u = config.make_initial_field(setup.grid, setup.initial)
-    print("step,max_norm")
-    print(f"0,{solver.field_max_norm(u):.17g}")
+    # one write per line: print would make two write calls, text and newline
+    sys.stdout.write("step,max_norm\n")
+    sys.stdout.write(f"0,{solver.field_max_norm(u):.17g}\n")
     for n in range(1, setup.steps + 1):
         try:
             u = step(ops, setup.params, u)
         except (solver.SingularSystemError, DomainError) as exc:
             print(f"numerical breakdown at step {n}: {exc}", file=sys.stderr)
             return 3
-        print(f"{n},{solver.field_max_norm(u):.17g}")
+        sys.stdout.write(f"{n},{solver.field_max_norm(u):.17g}\n")
     if args.out is not None:
         _write_out(solver.write_field_csv, args.out, u)
     return 0

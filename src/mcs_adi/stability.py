@@ -216,6 +216,7 @@ def thm5_bound(theta, r, phi):
     At phi = 0 the bound collapses to exactly 1 for every r, and for
     1/2 <= theta <= 1 it is nonincreasing in phi on [0, pi], which is what
     makes theta >= 1/2 sufficient for |S| <= 1 on the whole cone.
+    theta, r and phi may be arrays that broadcast against each other.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any((r_arr < 0.0) | (r_arr > 1.0)):

@@ -11,10 +11,11 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from mcs_adi import analysis, certificates
@@ -604,6 +605,67 @@ def test_all_real_lower_identity_holds_at_float_triplets():
         assert complex(stability_function(theta, pt.z0, pt.z1, pt.z2)).real > -1.0
 
 
+def _pairs(u):
+    # a complex polynomial as a list of (re, im) Fraction pairs, one per power
+    return [(Fraction(r), Fraction(i)) for r, i in zip_longest(*u, fillvalue=0)]
+
+
+def _oracle_parts(theta, z0, z1, z2):
+    # N = p^2 + zz p + theta z0 zz + (1/2 - theta) zz^2 and D = p^2, expanded
+    # directly in Fractions on (re, im) pairs
+    def add(*us):
+        return [tuple(map(sum, zip(*cs))) for cs in zip_longest(*us, fillvalue=(0, 0))]
+
+    def mul(u, v):
+        out = [(0, 0)] * max(len(u) + len(v) - 1, 0)
+        for i, (a, b) in enumerate(u):
+            for j, (c, d) in enumerate(v):
+                out[i + j] = (out[i + j][0] + a * c - b * d, out[i + j][1] + a * d + b * c)
+        return out
+
+    def const(c):
+        return [(Fraction(c), Fraction(0))]
+
+    z0, z1, z2 = map(_pairs, (z0, z1, z2))
+    p = mul(add(const(1), mul(const(-theta), z1)), add(const(1), mul(const(-theta), z2)))
+    zz = add(z0, z1, z2)
+    d = mul(p, p)
+    n = add(d, mul(zz, p), mul(const(theta), mul(z0, zz)),
+            mul(const(Fraction(1, 2) - theta), mul(zz, zz)))
+    return n, d
+
+
+def _trimmed(u):
+    while u and u[-1] == (0, 0):
+        u = u[:-1]
+    return u
+
+
+_COEFF = hst.one_of(hst.integers(-9, 9), hst.fractions(-9, 9, max_denominator=1000))
+_CPOLY = hst.tuples(*[hst.lists(_COEFF, max_size=3)] * 2)
+
+
+@given(
+    theta=hst.one_of(
+        hst.floats(1e-6, 1e6).map(Fraction),
+        hst.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(5, 12), Fraction(1e200)]),
+    ),
+    zs=hst.tuples(_CPOLY, _CPOLY, _CPOLY),
+)
+@example(theta=Fraction(1, 3), zs=(([0, 2], []), ([0, 0, -1], []), ([-4], [])))
+@example(theta=Fraction(2, 5), zs=(([0, -2], []), ([0, 1], [0, 1]), ([0, 1], [0, 1])))
+@example(theta=Fraction(5, 12), zs=(([Fraction(1, 3)], [2]), ([-1, 0, 5], [3]), ([], [0, -7])))
+@example(theta=Fraction(1e200), zs=(([], []), ([], [0, 1]), ([], [3])))
+@example(theta=Fraction(1e-6), zs=(([Fraction(-3, 7)], [1, Fraction(1, 9)]), ([2], []), ([], [1])))
+@settings(deadline=None, max_examples=60)
+def test_mcs_parts_matches_the_direct_fraction_expansion(theta, zs):
+    # mcs_parts expands over the integers and divides once; the oracle expands
+    # the defining formula term by term in Fractions
+    n, d = certificates.mcs_parts(theta, *zs)
+    n0, d0 = _oracle_parts(theta, *zs)
+    assert [_trimmed(_pairs(u)) for u in (n, d)] == [_trimmed(n0), _trimmed(d0)]
+
+
 def _serial_first_max(batches):
     # Reference fold: each batch's first maximum in row-major order, kept
     # only when strictly larger than every earlier batch's.
@@ -970,6 +1032,23 @@ def test_verify_rows_keep_their_names_details_and_exact_values():
         "error_term_positive_at_0_42": float(_c3(0.42)),
     }
     assert {name: checks[n, name].measured for n, name in checks if name in exact} == exact
+
+
+def test_theorem_5_bound_rows_equal_the_loop_over_theta_and_r(monkeypatch):
+    # the checks evaluate each grid in one broadcast call; its values are those
+    # of one call per theta (and per r) on the same points, bit for bit
+    radii, phases = np.linspace(0.0, 1.0, 101), np.linspace(0.0, math.pi, 361)
+    flat = [np.asarray(thm5_bound(t, radii, 0.0)) for t in (0.5, 0.75, 1.0)]
+    curves = [np.asarray(thm5_bound(t, r, phases))
+              for t in (0.5, 0.6, 0.75, 0.9, 1.0) for r in np.linspace(0.0, 1.0, 21)]
+    seen = []
+    monkeypatch.setattr(analysis, "thm5_bound", lambda *a: seen.append(thm5_bound(*a)) or seen[-1])
+    rows = {c.name: c.measured for c in verify_theorem(5, samples=65_536)}
+    assert [a.shape for a in seen] == [(3, 101), (5, 21, 361)]
+    assert np.array_equal(seen[0], np.stack(flat))
+    assert np.array_equal(seen[1].reshape(-1, 361), np.stack(curves))
+    assert rows["bound_equals_1_at_phi_0"] == max(float(np.max(np.abs(f - 1.0))) for f in flat)
+    assert rows["bound_nonincreasing_in_phase"] == max(float(np.max(np.diff(c))) for c in curves)
 
 
 #: Calls of each shared computation that `verify_theorem(n)` makes, by n.
