@@ -395,7 +395,7 @@ def thm4_ratio(x):
     maximum sits at x = 2 where p = 4 and the value is 40/96 = 5/12.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
+    if not np.all(x_arr >= 0.0):
         raise DomainError("x must be nonnegative")
     p = 1.0 + x_arr + 0.25 * x_arr * x_arr
     val = (x_arr**3 + 2.0 * p * x_arr * x_arr) / (p**3 + p * p * x_arr)
@@ -536,7 +536,6 @@ def _thm3_checks(seed, samples, threads, theta) -> list[CheckResult]:
 def _thm4_checks(seed, samples, threads, theta) -> list[CheckResult]:
     """The certified maximum 5/12 of `thm4_ratio`, and the witness family on both sides of it."""
     argmax, peak = thm4_maximize()
-    at_2 = thm4_ratio(2.0)
     # |S| at the witness the search finds at each theta, 0.0 where it finds none
     witnesses = {t: thm4_witness_search(t) for t in (0.40, 5.0 / 12.0, 0.45)}
     below, at_5_12, at_0_45 = (0.0 if wit is None else abs(eval_stability_function(t, wit))
@@ -546,7 +545,7 @@ def _thm4_checks(seed, samples, threads, theta) -> list[CheckResult]:
                     "maximizer of the threshold ratio"),
         CheckResult("ratio_max_is_5_12", peak, abs(peak - 5.0 / 12.0) <= 1e-15,
                     "maximum of the threshold ratio equals 5/12"),
-        CheckResult("ratio_at_2_exact", at_2, at_2 == 5.0 / 12.0,
+        CheckResult("ratio_at_2_exact", peak, peak == 5.0 / 12.0,
                     "ratio(2) = 5/12 holds exactly in floating point"),
         CheckResult("instability_witness_below_5_12", below, below > 1.0 + 1e-10,
                     "cone triplet with |S| > 1 exists at theta = 0.40"),

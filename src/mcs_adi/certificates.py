@@ -2,11 +2,13 @@
 
 A polynomial is a list of coefficients (index = power), a complex one a
 (re, im) pair of them.  `mcs_parts` expands S = N/D exactly, and each thmN_*
-certificate proves one polynomial identity, raising ArithmeticError when it
-fails.  The expansion runs over the integers: with theta = a/b it builds
-4 b^4 N and 4 b^4 D from integer constants, so integer z-coefficients keep
-every intermediate an int, and it divides each coefficient once, by 4 b^4,
-into the exact Fractions it returns.  The package registers this module
+certificate proves one polynomial identity with its factors written out,
+raising ArithmeticError when it fails; for theorem 4 that is
+64 (5 den - 12 num) = (x - 2)^2 (5x^4 + 100x^3 + 456x^2 + 400x + 80).  The
+expansion runs over the integers: with theta = a/b it builds 4 b^4 N and
+4 b^4 D from integer constants, so integer z-coefficients keep every
+intermediate an int, and it divides each coefficient once, by 4 b^4, into
+the exact Fractions it returns.  The package registers this module
 lazily, so it runs, and loads `fractions` and `decimal`, only when a
 certificate does.
 """
@@ -174,25 +176,16 @@ def thm4_polynomials():
     return _padd([0, 0, 0, 1], _pmul([0, 0, 2], p)), _padd(_pmul(p2, p), _pmul(p2, [0, 1]))
 
 
-def _divide_by_root(p, r):
-    """Quotient and remainder of p(x) / (x - r), by Horner's scheme."""
-    acc, out = 0, []
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
-
-
 def thm4_certify() -> None:
     """Prove that the threshold ratio is <= 5/12 on x >= 0, with equality only at x = 2.
 
-    With num/den the ratio, 5 den - 12 num = (x - 2)^2 Q(x) where Q has only
-    positive coefficients, and den does too.  Raises ArithmeticError if the
-    identity fails.
+    With num/den the ratio, exactly 64 (5 den - 12 num) = (x - 2)^2 Q(x) with
+    Q = 5x^4 + 100x^3 + 456x^2 + 400x + 80.  Q and den have only positive
+    coefficients, so on x >= 0 both are > 0 and 5/12 - num/den =
+    (x - 2)^2 Q / (768 den) is >= 0, and 0 only at x = 2.  Raises
+    ArithmeticError if the identity fails or den has a coefficient <= 0.
     """
     num, den = thm4_polynomials()
-    q, r1 = _divide_by_root(_psub(_pmul([5], den), _pmul([12], num)), 2)
-    q, r2 = _divide_by_root(q, 2)
-    if r1 or r2 or not all(c > 0 for c in q + den):
+    lhs = _pmul([64], _psub(_pmul([5], den), _pmul([12], num)))
+    if any(_psub(lhs, _pmul([4, -4, 1], [80, 400, 456, 100, 5]))) or not all(c > 0 for c in den):
         raise ArithmeticError("the 5/12 certificate of the threshold ratio does not hold")

@@ -36,9 +36,9 @@ the x-solve takes each pair of adjacent columns as one complex column,
 M^-1 (u_2l + i u_2l+1) = M^-1 u_2l + i M^-1 u_2l+1, and runs a complex
 fft/ifft pair along axis 0 of the complex128 view of the field, of shape
 (m1, m2 / 2), which costs less than an rfft/irfft pair along the strided
-axis 0.  A right-hand side that is not a C-ordered float64 field of even
-width is first copied into a zero-padded workspace array, so the FFTs
-always run in double precision.
+axis 0.  Every right-hand side is converted to float64 on entry, so the
+FFTs always run in double precision, and one that is not C-ordered or has
+odd width is first copied into a zero-padded array.
 Every solve is verified a posteriori by its normwise backward error in
 physical space.
 
@@ -232,10 +232,7 @@ class _Workspace:
     step, and `aux` holds one stage product at a time.  The stencil and
     residual kernels run band by band over `bands` (see _Band), which share
     the band-sized scratch `tmp`, `res` and `halo` and write their max-abs
-    values to the rows of `peaks`.  `pairs`, of shape (m1, m2 + m2 % 2)
-    with a zero pad column, takes the float64 C-ordered copy of an FFT
-    x-solve's rhs that cannot be viewed as complex column pairs directly;
-    np.zeros leaves its pages untouched until that first copy.
+    values to the rows of `peaks`.
     """
 
     def __init__(self, shape: tuple[int, int], mixed_groups):
@@ -248,7 +245,6 @@ class _Workspace:
         self.peaks = np.empty((len(starts), 3))
         self.bands = tuple(_Band(self, k, r0, min(r0 + rows, m1), mixed_groups)
                            for k, r0 in enumerate(starts))
-        self.pairs = np.zeros((m1, m2 + m2 % 2))
 
 
 class _Band:
@@ -388,11 +384,10 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     M^-1 (u_even + i u_odd) = M^-1 u_even + i M^-1 u_odd for the column
     pairs of rhs: it runs a complex fft along axis 0 of the complex128 view
     of rhs, of shape (m1, m2 / 2), multiplies by 1/lam_k and views the ifft
-    as float64 again.  A rhs that is not float64, not C-ordered or has odd
-    m2 is first copied into the thread's zero-padded workspace, and the
-    y-solve promotes its rhs to float64, so the FFTs always run in double
-    precision.  A diagonal M (e.g. theta_dt = 0) returns rhs / m_diag
-    exactly.
+    as float64 again.  The rhs is converted to float64 on entry, so the FFTs
+    always run in double precision, and one that is not C-ordered or has odd
+    m2 is first copied into a zero-padded array.  A diagonal M (e.g.
+    theta_dt = 0) returns rhs / m_diag exactly.
 
     SingularSystemError is raised whenever min|lam_k| <= n eps max|lam_k|,
     whatever the right-hand side (for PSD operators and theta_dt > 0 every
@@ -400,24 +395,24 @@ def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndar
     ||M x - rhs||_inf <= 1e-10 (||M||_inf ||x||_inf + ||rhs||_inf), checked in
     physical space with ||M||_inf = |m_diag| + |m_sub| + |m_sup|.
     """
-    rhs = validate_field(ops.grid, rhs)
+    rhs = np.asarray(validate_field(ops.grid, rhs), dtype=np.float64)
     m_sub, m_diag, m_sup, rlam, inv = ops._stage(j, theta_dt)
     if m_sub == 0.0 and m_sup == 0.0:
-        return np.divide(rhs, m_diag, dtype=np.float64)
+        return np.divide(rhs, m_diag)
     ws = ops._workspace()
     if inv is not None:
         x = inv @ rhs if j == 1 else rhs @ inv
     elif j == 1:
-        m2 = rhs.shape[1]
+        m1, m2 = rhs.shape
         pairs = rhs
-        if not (rhs.dtype == np.float64 and rhs.flags.c_contiguous and m2 % 2 == 0):
-            pairs = ws.pairs
+        if not (rhs.flags.c_contiguous and m2 % 2 == 0):
+            pairs = np.zeros((m1, m2 + m2 % 2))
             pairs[:, :m2] = rhs
         xh = np.fft.fft(pairs.view(np.complex128), axis=0)
         xh *= rlam
         x = np.fft.ifft(xh, axis=0).view(np.float64)[:, :m2]
     else:
-        xh = np.fft.rfft(np.asarray(rhs, dtype=np.float64), axis=1)
+        xh = np.fft.rfft(rhs, axis=1)
         xh *= rlam
         x = np.fft.irfft(xh, n=rhs.shape[1], axis=1)
     residual, x_max, rhs_max = _check_peaks(ws, j, m_sub, m_diag, m_sup, x, rhs)

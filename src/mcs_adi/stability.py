@@ -101,14 +101,15 @@ def stability_function(theta, z0, z1, z2, zz=None):
     Broadcasts over numpy arrays; no pole or consistency checks are applied
     (this is the hot path of the scans).  S is built by ufunc `out=` calls,
     in the order of 1 + zz/p + ((theta*z0)*zz + ((1/2 - theta)*zz)*zz)/(p*p),
-    zz = z0 + (z1 + z2), in four fresh arrays of dtype result_type(z0, z1, z2,
-    float).  Many thetas on one batch may share a precomputed, read-only `zz`.
+    zz = z0 + (z1 + z2), in fresh arrays of dtype result_type(z0, z1, z2, float):
+    three when `zz` is given, four when it is not.  Many thetas on one batch
+    may share a precomputed, read-only `zz`.
     """
     dtype = np.result_type(z0, z1, z2, 1.0)
     shape = np.broadcast_shapes(np.shape(theta), np.shape(z0), np.shape(z1), np.shape(z2))
-    s, p, zw, t = (np.empty(shape, dtype) for _ in range(4))
+    s, p, t = (np.empty(shape, dtype) for _ in range(3))
     if zz is None:
-        zz = np.add(z0, np.add(z1, z2, out=s), out=zw)
+        zz = np.add(z0, np.add(z1, z2, out=s), out=np.empty(shape, dtype))
     np.subtract(1.0, np.multiply(theta, z1, out=p), out=p)
     np.subtract(1.0, np.multiply(theta, z2, out=t), out=t)
     np.multiply(p, t, out=p)
@@ -196,7 +197,7 @@ def lemma2_gap(theta, z1, z2):
     theta_a = np.asarray(theta, dtype=float)
     z1a = np.asarray(z1, dtype=complex)
     z2a = np.asarray(z2, dtype=complex)
-    if np.any(z1a.real > 0.0) or np.any(z2a.real > 0.0):
+    if not (np.all(z1a.real <= 0.0) and np.all(z2a.real <= 0.0)):
         raise DomainError("lemma2_gap requires Re z1 <= 0 and Re z2 <= 0")
     z = z1a + z2a
     a = (1.0 - theta_a * z1a) * (1.0 - theta_a * z2a) / (2.0 * theta_a)
@@ -219,7 +220,7 @@ def thm5_bound(theta, r, phi):
     theta, r and phi may be arrays that broadcast against each other.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any((r_arr < 0.0) | (r_arr > 1.0)):
+    if not np.all((r_arr >= 0.0) & (r_arr <= 1.0)):
         raise DomainError("r must lie in [0, 1]")
     check_theta(theta)
     one_m_r = 1.0 - r_arr

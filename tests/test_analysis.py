@@ -731,10 +731,10 @@ def _full_batches():
 
 
 @pytest.mark.parametrize("kind", ["complex_block", "real_block", "thm1_band", "thm2_band"])
-def test_batch_max_holds_at_most_four_complex_arrays_of_its_batch(kind):
+def test_batch_max_holds_at_most_three_complex_arrays_of_its_batch(kind):
     # _max_scan keeps W batches alive on the assumption that evaluating one
-    # costs O(batch): S's four arrays, then |S| beside S.  Called as the scan
-    # calls it, with the block's theta-free sum.
+    # costs O(batch): S's three arrays, then |S| beside S.  Called as the scan
+    # calls it, with the block's theta-free sum, so S makes no array for zz.
     batch = _full_batches()[kind]
     n = np.broadcast(*batch).size
     zz = batch[0] + (batch[1] + batch[2])
@@ -744,7 +744,7 @@ def test_batch_max_holds_at_most_four_complex_arrays_of_its_batch(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 16 * n + (256 << 10)
+    assert peak <= 3 * 16 * n + (256 << 10)
     assert abs(eval_stability_function(0.3, wit)) == pytest.approx(val, rel=1e-12)
 
 
@@ -805,8 +805,37 @@ def test_threshold_ratio_values():
     assert all(vec[i] == thm4_ratio(float(xs[i])) for i in range(4))
 
 
+def test_nan_is_out_of_range():
+    # every range test is written so that NaN fails it
+    with pytest.raises(DomainError, match=r"r must lie in \[0, 1\]"):
+        thm5_bound(0.5, math.nan, 0.0)
+    with pytest.raises(DomainError, match="x must be nonnegative"):
+        thm4_ratio(math.nan)
+    with pytest.raises(DomainError, match="requires Re z1 <= 0"):
+        lemma2_gap(0.5, complex(math.nan, 0.0), -1.0)
+
+
 def test_threshold_ratio_maximum():
     assert thm4_maximize() == (2.0, 5.0 / 12.0)
+
+
+@pytest.mark.parametrize("part, power", [(0, 3), (1, 0)], ids=["num_x3", "den_const"])
+def test_a_wrong_threshold_ratio_breaks_its_certificate(monkeypatch, capsys, part, power):
+    exact = certificates.thm4_polynomials
+
+    def perturbed():
+        polys = exact()
+        polys[part][power] += Fraction(1, 1 << 40)
+        return polys
+
+    monkeypatch.setattr(certificates, "thm4_polynomials", perturbed)
+    with pytest.raises(ArithmeticError, match="5/12 certificate"):
+        certificates.thm4_certify()
+    assert main(["verify", "--theorem", "4"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "numerical breakdown: the 5/12 certificate of the threshold ratio does not hold"]
 
 
 def test_ratio_certificate_polynomials_match_threshold_ratio():

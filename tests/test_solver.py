@@ -372,9 +372,10 @@ def test_dense_and_fft_solves_agree(j, n):
 @pytest.mark.parametrize("m2", [5, 6], ids=["odd", "even"])
 @pytest.mark.parametrize("m1", [_DENSE_MAX + 1, _DENSE_MAX + 4, 2 * _DENSE_MAX + 1])
 def test_fft_x_solve_matches_rfft_formula_on_any_layout(m1, m2, layout):
-    # a C-ordered float64 rhs of even width is viewed as complex column pairs;
-    # every other rhs is copied into the zero-padded workspace first.  Even m1
-    # has a Nyquist mode, which the full spectrum of 1/lam_k must not repeat
+    # the rhs is converted to float64 on entry; a C-ordered one of even width is
+    # viewed as complex column pairs, any other is copied into a zero-padded
+    # array first.  Even m1 has a Nyquist mode, which the full spectrum of
+    # 1/lam_k must not repeat
     grid = GridSpec(m1=m1, m2=m2, dx=1.0 / m1, dy=1.0 / m2, beta=0.5)
     ops = build_split_operators(COEFFS, grid)
     rhs = np.random.Generator(np.random.Philox(key=41)).standard_normal(grid.shape)
