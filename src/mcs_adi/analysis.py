@@ -69,7 +69,7 @@ from . import __version__, certificates
 from .stability import (
     DomainError,
     SpectralPoint,
-    check_theta,
+    check_positive,
     cone_condition,
     eval_stability_function,
     imaginary_axis_margin,
@@ -223,7 +223,7 @@ def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
     order, before the next is submitted.
     """
     for t in thetas:
-        check_theta(t)
+        check_positive("theta", t)
 
     def evaluate(theta, block):  # the task holds the list, which the fold empties
         return _batch_max(theta, *block)
@@ -372,7 +372,7 @@ def thm2_sharp_point(theta: float) -> SpectralPoint:
     There S - 1 = (1 - 3 theta) / (2 theta^2): S = 1 at theta = 1/3 and S > 1
     below it (153/128 at theta = 0.32).
     """
-    check_theta(theta)
+    check_positive("theta", theta)
     return SpectralPoint(-2.0 / theta, -1.0 / theta, -1.0 / theta)
 
 
@@ -384,7 +384,7 @@ def thm3_cubic_coefficient(theta: float) -> float:
     C is computed exactly, from |S|^2 - 1 = (|N|^2 - |D|^2) / |D|^2 with
     |D|^2 = 1 + O(a), and rounded to a float.
     """
-    check_theta(theta)
+    check_positive("theta", theta)
     return certificates.thm3_cubic(theta)[0]
 
 
@@ -422,7 +422,7 @@ def thm4_witness_search(theta: float) -> Optional[SpectralPoint]:
     it does not.  A returned point is re-verified against the cone condition
     and both evaluation forms.
     """
-    check_theta(theta)
+    check_positive("theta", theta)
     g = np.geomspace(0.005, 0.6, 12)
     z1 = (-np.linspace(0.2, 5.0, 193) / theta)[:, None] + 0.0j
     phi = np.concatenate([-g[::-1], g])[None, :]
@@ -591,10 +591,10 @@ def verify_theorem(
     `theta` only affects n = 3, where it redirects the exact cubic
     coefficient to a caller-chosen parameter value.
     """
-    if n not in (1, 2, 3, 4, 5):
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= 5):
         raise DomainError(f"theorem number must be 1..5, got {n}")
     if theta is not None:
-        check_theta(theta)
+        check_positive("theta", theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
     _blocks(seed, samples)  # every theorem checks the scan inputs, used or not

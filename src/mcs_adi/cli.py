@@ -34,7 +34,7 @@ import numpy as np
 # whose attributes it reads, each on the calling thread before any worker starts
 from . import analysis, config, solver, spectrum
 from .config import ConfigError
-from .stability import DomainError, check_theta
+from .stability import DomainError, check_positive
 
 #: Most theta values one figure1 scan takes (the default grid has 101).
 _MAX_THETAS = 10_000
@@ -124,11 +124,6 @@ def _write_out(write, path, *data) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _check_positive(flag: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
-
-
 def _load_problem(args) -> config.ProblemSetup:
     """The --config file, with each given --steps, --scheme or --theta in place of its key."""
     flags = {key: getattr(args, key, None) for key in ("steps", "scheme", "theta")}
@@ -159,7 +154,7 @@ def cmd_figure1(args) -> int:
     samples = analysis.DEFAULT_SAMPLES if args.samples is None else args.samples
     for flag, value in (("theta-min", args.theta_min), ("theta-max", args.theta_max),
                         ("theta-step", args.theta_step)):
-        _check_positive(flag, value)
+        check_positive(flag, value)
     if args.theta_max < args.theta_min:
         raise ConfigError("theta-max must be >= theta-min")
     if (args.theta_min, args.theta_max, args.theta_step) == (0.25, 0.5, 0.0025):
@@ -234,7 +229,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"levels must be 1..{_MAX_LEVELS}, got {args.levels}")
     thetas = args.theta or [1.0 / 3.0, 0.5]
     for theta in thetas:
-        check_theta(theta)
+        check_positive("theta", theta)
     csv = "scheme,theta,dt,max_error,observed_order\n"
     for theta in thetas:
         problem = dataclasses.replace(solver.default_convergence_problem(), theta=theta)

@@ -93,7 +93,7 @@ def load_problem(path, overrides: dict[str, str] | None = None) -> ProblemSetup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             pairs = parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read problem file {path!r}: {exc}") from exc
     if overrides:
         pairs.update({k: str(v) for k, v in overrides.items()})

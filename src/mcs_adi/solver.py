@@ -335,13 +335,15 @@ def apply_split_operator(
     """Apply A_j (j in {0, 1, 2}) to a grid field.
 
     The result is written to `out`, a float64 grid field that must not
-    overlap u, or to a new array when `out` is None.
+    overlap u (DomainError otherwise), or to a new array when `out` is None.
     """
     u = validate_field(ops.grid, u)
     if j not in (0, 1, 2):
         raise DomainError(f"operator index must be 0, 1 or 2, got {j}")
     if out is None:
         out = np.empty(u.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == u.shape):
+        raise DomainError(f"out must be a float64 array of shape {u.shape}")
     elif np.may_share_memory(out, u):
         raise DomainError("out must not overlap the input field")
     ws = ops._workspace()

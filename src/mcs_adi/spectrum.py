@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stability import DomainError, SpectralPoint
+from .stability import DomainError, SpectralPoint, check_positive
 
 #: Relative tolerance of the positive-semidefiniteness validation.
 PSD_RTOL = 1e-12
@@ -151,8 +151,10 @@ def _symbol_block(coeffs: PdeCoefficients, grid: GridSpec, dt: float, k1, k2):
     """(z0, z1, z2) of the modes k1 x k2 (1-D wavenumber arrays), shaped to broadcast.
 
     z1 and z2 are assembled from their real and imaginary parts, so a zero
-    part keeps the sign its formula gives.
+    part keeps the sign its formula gives.  DomainError unless dt is positive
+    and finite.
     """
+    check_positive("dt", dt)
     phi1 = 2.0 * math.pi * k1 / grid.m1
     phi2 = 2.0 * math.pi * k2 / grid.m2
     s1, c1_ = np.sin(phi1)[:, None], np.cos(phi1)[:, None]

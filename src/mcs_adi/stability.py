@@ -48,11 +48,11 @@ class PoleError(ArithmeticError):
     """Evaluation requested too close to a pole of the amplification factor."""
 
 
-def check_theta(theta) -> None:
-    """DomainError unless 0 < theta < inf; an array must hold there elementwise."""
-    t = np.asarray(theta)
-    if not (np.all(t > 0.0) and np.all(t < math.inf)):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
+def check_positive(name: str, value) -> None:
+    """DomainError unless 0 < value < inf; an array must hold there elementwise."""
+    v = np.asarray(value)
+    if not (np.all(v > 0.0) and np.all(v < math.inf)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,8 @@ class SchemeParams:
     dt: float
 
     def __post_init__(self):
-        check_theta(self.theta)
-        if not 0.0 < self.dt < math.inf:
-            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
+        check_positive("theta", self.theta)
+        check_positive("dt", self.dt)
 
 
 @dataclass(frozen=True)
@@ -99,26 +98,19 @@ def stability_function(theta, z0, z1, z2, zz=None):
     """Amplification factor of one MCS step, additive form.
 
     Broadcasts over numpy arrays; no pole or consistency checks are applied
-    (this is the hot path of the scans).  S is built by ufunc `out=` calls,
-    in the order of 1 + zz/p + ((theta*z0)*zz + ((1/2 - theta)*zz)*zz)/(p*p),
-    zz = z0 + (z1 + z2), in fresh arrays of dtype result_type(z0, z1, z2, float):
-    three when `zz` is given, four when it is not.  Many thetas on one batch
-    may share a precomputed, read-only `zz`.
+    (this is the hot path of the scans).  S is evaluated as
+    1 + zz/p + ((theta*z0)*zz + ((1/2 - theta)*zz)*zz)/(p*p), zz = z0 + (z1 + z2),
+    in that operation order.  Many thetas on one batch may share a
+    precomputed, read-only `zz`.
     """
-    dtype = np.result_type(z0, z1, z2, 1.0)
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(z0), np.shape(z1), np.shape(z2))
-    s, p, t = (np.empty(shape, dtype) for _ in range(3))
     if zz is None:
-        zz = np.add(z0, np.add(z1, z2, out=s), out=np.empty(shape, dtype))
-    np.subtract(1.0, np.multiply(theta, z1, out=p), out=p)
-    np.subtract(1.0, np.multiply(theta, z2, out=t), out=t)
-    np.multiply(p, t, out=p)
-    np.multiply(np.multiply(theta, z0, out=s), zz, out=s)
-    np.multiply(np.multiply(0.5 - theta, zz, out=t), zz, out=t)
-    np.add(s, t, out=s)
-    np.add(1.0, np.divide(zz, p, out=t), out=t)
-    np.divide(s, np.multiply(p, p, out=p), out=s)
-    return np.add(t, s, out=s)[()]
+        zz = z0 + (z1 + z2)
+    p = (1.0 - theta * z1) * (1.0 - theta * z2)
+    # the in-place add and divide keep the peak at three batch-sized arrays
+    s = (theta * z0) * zz
+    s += ((0.5 - theta) * zz) * zz
+    s /= p * p
+    return 1.0 + zz / p + s
 
 
 def stability_function_quadratic(theta, z0, z1, z2):
@@ -193,7 +185,7 @@ def lemma2_gap(theta, z1, z2):
     Accepts scalars or broadcasting numpy arrays; raises DomainError when
     any real part is positive or theta is not positive and finite.
     """
-    check_theta(theta)
+    check_positive("theta", theta)
     theta_a = np.asarray(theta, dtype=float)
     z1a = np.asarray(z1, dtype=complex)
     z2a = np.asarray(z2, dtype=complex)
@@ -222,7 +214,7 @@ def thm5_bound(theta, r, phi):
     r_arr = np.asarray(r, dtype=float)
     if not np.all((r_arr >= 0.0) & (r_arr <= 1.0)):
         raise DomainError("r must lie in [0, 1]")
-    check_theta(theta)
+    check_positive("theta", theta)
     one_m_r = 1.0 - r_arr
     e = r_arr * np.exp(1j * np.asarray(phi, dtype=float)) - 1.0
     f1 = np.abs(2.0 * theta + (1.0 - theta) * e)

@@ -944,10 +944,10 @@ def test_lemma2_sweep_without_samples_is_a_domain_error(samples):
 
 
 def test_verify_rejects_unknown_theorem():
-    with pytest.raises(DomainError):
-        verify_theorem(0)
-    with pytest.raises(DomainError):
-        verify_theorem(6)
+    # 1.0 used to pass the range test and fail indexing the check table
+    for n in (0, 6, 1.0, 2.5, "1"):
+        with pytest.raises(DomainError, match="^theorem number must be 1..5, got "):
+            verify_theorem(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -195,6 +195,16 @@ def test_solve_cli_usage_errors(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["solve"], ["amplification", "--k1", "1", "--k2", "1"]],
+                         ids=["solve", "amplification"])
+def test_cli_problem_file_that_is_not_utf8_is_one_error_line(command, tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff" + BASE_CONFIG.encode())
+    assert main([*command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read problem file {str(path)!r}: ")
+
+
 def test_solve_cli_reports_numerical_breakdown(config_path, capsys, monkeypatch):
     for exc in (SingularSystemError("implicit sweep lost the pivot"),
                 DomainError("field contains non-finite entries")):

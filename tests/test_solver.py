@@ -142,6 +142,18 @@ def test_apply_rejects_out_overlapping_its_input():
             apply_split_operator(ops, j, u, out=u)
 
 
+@pytest.mark.parametrize("out", [
+    np.zeros((3, 3)), np.zeros(GRID.shape, np.int64), np.zeros(GRID.shape, np.float32),
+    np.zeros(GRID.shape, complex), np.zeros(GRID.shape).tolist(),
+], ids=["shape", "int64", "float32", "complex128", "list"])
+def test_apply_rejects_out_that_is_not_a_float64_grid_field(out):
+    ops = build_split_operators(COEFFS, GRID)
+    u = np.ones(GRID.shape)
+    for j in (0, 1, 2):
+        with pytest.raises(DomainError, match="^out must be a float64 array of shape "):
+            apply_split_operator(ops, j, u, out=out)
+
+
 def test_constant_field_annihilated():
     # derivative operators kill constants; exactly for pure diffusion
     # (the +a, -2a, +a products share one rounding), to roundoff otherwise

@@ -176,6 +176,21 @@ def test_cone_report_all_modes_psd():
     assert cone_condition(pt, slack=1e-12)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda c, g, dt: fourier_symbols(c, g, dt, FourierMode(1, 2)),
+    fourier_symbol_grid,
+    verify_cone_all_modes,
+], ids=["fourier_symbols", "fourier_symbol_grid", "verify_cone_all_modes"])
+def test_symbols_reject_a_time_step_that_is_not_positive_and_finite(call, dt):
+    # a negative dt puts Re z1 and Re z2 above 0, off the cone, yet the cone
+    # margin reads only their product and |z0|, so it used to report ok
+    coeffs = PdeCoefficients(c1=0.4, c2=-0.3, d11=0.05, d12=0.015, d21=0.015, d22=0.03)
+    grid = GridSpec(m1=24, m2=24, dx=1.0 / 24, dy=1.0 / 24)
+    with pytest.raises(DomainError, match=f"^dt must be positive and finite, got {dt!r}$"):
+        call(coeffs, grid, dt)
+
+
 def test_cone_report_tie_resolves_to_first_mode():
     # no diffusion and no mixed term: every margin is exactly zero, and the
     # lexicographically first mode wins the tie
