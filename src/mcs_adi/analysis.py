@@ -22,7 +22,7 @@ The thmN_* helpers verify the five closed-form thresholds
 each against quantities this package computes independently of the scans:
 deterministic sweeps of closed-form bounds, exact floating-point spot values,
 and for 1/4, both sides of 1/3, 2/5 and 5/12 exact certificates -- polynomial
-identities in rational arithmetic that prove the closed form (module
+identities, scaled to integer coefficients, that prove the closed form (module
 `certificates`).  `verify_theorem(n)` runs theorem n's named pass/fail checks
 for the CLI, computing each value they share once; the grid scans of |S|
 are float cross-checks outside them.

@@ -481,11 +481,11 @@ def _c3(theta):
 
 
 def _exact_abs2(theta, pt):
-    # |N|^2 and |D|^2 of S = N/D, exact at the float inputs
-    n, d = certificates.mcs_parts(
+    # |N|^2 and |D|^2 of S = N/D, exact at the float inputs: |sN|^2 and |sD|^2 over s^2
+    n, d, s = certificates.mcs_parts(
         Fraction(theta), *(([Fraction(z.real)], [Fraction(z.imag)]) for z in (pt.z0, pt.z1, pt.z2))
     )
-    return sum(certificates._abs2(n)), sum(certificates._abs2(d))
+    return [Fraction(sum(certificates._abs2(u)), s * s) for u in (n, d)]
 
 
 @pytest.mark.parametrize("theta", [0.24, 0.3, 1.0 / 3.0, 0.5])
@@ -526,6 +526,10 @@ def test_imaginary_axis_certificate_is_the_rounded_closed_form(theta):
     assert certificates.thm1_coefficient(theta) == float(_c1(theta))
 
 
+def test_imaginary_axis_certificate_at_0_24():
+    assert certificates.thm1_coefficient(0.24) == -0.0027040000000000024
+
+
 @pytest.mark.parametrize(
     "theta, disc, proven",
     [("1/4", 3.0, False), ("0.32", 0.4352, False), (1.0 / 3.0, 5.921189464667502e-16, False),
@@ -563,6 +567,7 @@ def _mutant(fn, old, new):
     ids=["theta_perturbed_in_one_factor", "zz_p_term_dropped"],
 )
 def test_a_wrong_p_breaks_both_certificates(monkeypatch, capsys, old, new):
+    # every certificate built on mcs_parts: theorems 1, 2 (both sides) and 3
     monkeypatch.setattr(certificates, "mcs_parts", _mutant(certificates.mcs_parts, old, new))
     # not 1/2: there z0 = 0 and 1/2 - theta = 0 leave N = p^2 = D with the zz p term dropped
     for theta in (0.25, 1.0, 0.24):
@@ -573,8 +578,15 @@ def test_a_wrong_p_breaks_both_certificates(monkeypatch, capsys, old, new):
             certificates.thm2_upper(theta)
         with pytest.raises(ArithmeticError, match=r"all-real N \+ D identity fails"):
             certificates.thm2_lower(theta)
+    for theta in (0.38, 0.40, 0.42, 0.5):
+        try:
+            exact = certificates.thm3_cubic(theta)[1]
+        except ArithmeticError:
+            exact = False
+        assert not exact
     for n, msg in (("1", "the imaginary-axis identity fails at theta = 0.25"),
-                   ("2", "the all-real cone identity fails at theta = 1/3")):
+                   ("2", "the all-real cone identity fails at theta = 1/3"),
+                   ("3", "|S|^2 - 1 has terms below a^3 at theta = 0.38")):
         assert main(["verify", "--theorem", n]) == 3
         out = capsys.readouterr()
         assert out.out == ""
@@ -597,11 +609,11 @@ def test_all_real_lower_identity_holds_at_float_triplets():
     ]
     for theta, pt in cases:
         t, z0, z1, z2 = (Fraction(float(v.real)) for v in (theta, pt.z0, pt.z1, pt.z2))
-        n, d = certificates.mcs_parts(t, ([z0], []), ([z1], []), ([z2], []))
+        n, d, s = certificates.mcs_parts(t, ([z0], []), ([z1], []), ([z2], []))
         x = 1 - (2 * t - 1) * (z1 + z2) + t**2 * z1 * z2
         r = (3 - 4 * t * (z1 + z2) + 6 * t**2 * z1 * z2 - 4 * t**3 * z1 * z2 * (z1 + z2)
              + 3 * t**4 * (z1 * z2) ** 2)
-        assert 2 * (n[0][0] + d[0][0]) == (z0 + x) ** 2 + r >= 3
+        assert Fraction(2 * (n[0][0] + d[0][0]), s) == (z0 + x) ** 2 + r >= 3
         assert complex(stability_function(theta, pt.z0, pt.z1, pt.z2)).real > -1.0
 
 
@@ -659,11 +671,42 @@ _CPOLY = hst.tuples(*[hst.lists(_COEFF, max_size=3)] * 2)
 @example(theta=Fraction(1e-6), zs=(([Fraction(-3, 7)], [1, Fraction(1, 9)]), ([2], []), ([], [1])))
 @settings(deadline=None, max_examples=60)
 def test_mcs_parts_matches_the_direct_fraction_expansion(theta, zs):
-    # mcs_parts expands over the integers and divides once; the oracle expands
-    # the defining formula term by term in Fractions
-    n, d = certificates.mcs_parts(theta, *zs)
+    # mcs_parts expands s N and s D over the integers; divided by s here, they
+    # match the oracle, which expands the defining formula term by term in Fractions
+    n, d, s = certificates.mcs_parts(theta, *zs)
     n0, d0 = _oracle_parts(theta, *zs)
-    assert [_trimmed(_pairs(u)) for u in (n, d)] == [_trimmed(n0), _trimmed(d0)]
+    got = [_trimmed([(r / s, i / s) for r, i in _pairs(u)]) for u in (n, d)]
+    assert got == [_trimmed(n0), _trimmed(d0)]
+
+
+@pytest.mark.parametrize(
+    "theta, b", [(Fraction(1, 3), 3), (Fraction(2, 5), 5), (0.24, 2**52), (5e-324, 2**1074)])
+@pytest.mark.parametrize(
+    "zs", [(([0, -2], []), ([0, 1], [0, 1]), ([0, 1], [0, 1])),
+           (([3, 0, -1], [0, 2]), ([-4, 1], [0, 0, 7]), ([], [-5, 0, 1]))])
+def test_mcs_parts_keeps_integer_coefficients_integer(theta, b, zs):
+    # theta = a/b: integer z-coefficients give int coefficients of s N, s D and s = 4 b^4
+    n, d, s = certificates.mcs_parts(theta, *zs)
+    assert type(s) is int and s == 4 * b**4
+    assert n[0] and d[0] and all(type(c) is int for u in (n, d) for part in u for c in part)
+
+
+def test_certificate_identities_are_checked_on_integers(monkeypatch):
+    # every product of every certificate, thm4's included, multiplies ints only
+    pmul = certificates._pmul
+
+    def int_pmul(p, q):
+        assert all(type(c) is int for c in (*p, *q))
+        return pmul(p, q)
+
+    monkeypatch.setattr(certificates, "_pmul", int_pmul)
+    for theta in (0.24, 0.25, 5e-324):
+        certificates.thm1_coefficient(theta)
+        certificates.thm3_cubic(theta)
+    for theta in ("1/3", 0.3):
+        certificates.thm2_upper(theta)
+        certificates.thm2_lower(theta)
+    certificates.thm4_certify()
 
 
 def _serial_first_max(batches):
@@ -787,9 +830,9 @@ def test_cubic_certificate_polynomials_match_stability_function(theta, a):
     # the exact N and D behind the certificate are the numerator and
     # denominator of the float evaluator's S on the family z0 = -2a, z1 = z2 = a(1+i)
     a1i = ([0, 1], [0, 1])
-    n, d = certificates.mcs_parts(Fraction(theta), ([0, -2], []), a1i, a1i)
+    n, d, scale = certificates.mcs_parts(Fraction(theta), ([0, -2], []), a1i, a1i)
     fa = Fraction(a)
-    abs2 = [_horner(u[0], fa) ** 2 + _horner(u[1], fa) ** 2 for u in (n, d)]
+    abs2 = [(_horner(u[0], fa) ** 2 + _horner(u[1], fa) ** 2) / scale**2 for u in (n, d)]
     s = complex(stability_function(theta, -2.0 * a, a * (1 + 1j), a * (1 + 1j)))
     assert abs(abs(s) ** 2 - 1.0 - float(abs2[0] / abs2[1] - 1)) <= 1e-14
 

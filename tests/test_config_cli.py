@@ -517,6 +517,32 @@ def test_verify_cli_theorem3_passes_at_large_theta(theta, capsys):
     assert "FAIL" not in out and out.splitlines()[-1] == "2/2 checks passed"
 
 
+@pytest.mark.parametrize("theta, rows", [
+    ("5e-324", [
+        "thm3  PASS  cubic_coefficient_at_4_94066e-324        measured=-7.9050503334599447e-323"
+        "  exact coefficient vs closed form -7.90505e-323",
+        "thm3  PASS  error_term_negative_at_4_94066e-324      measured=-7.9050503334599447e-323"
+        "  negative cubic term: not stable on this family (theta < 2/5)"]),
+    ("1e-300", [
+        "thm3  PASS  cubic_coefficient_at_1e-300              measured=-1.6e-299"
+        "  exact coefficient vs closed form -1.6e-299",
+        "thm3  PASS  error_term_negative_at_1e-300            measured=-1.6e-299"
+        "  negative cubic term: not stable on this family (theta < 2/5)"]),
+])
+def test_verify_cli_theorem3_rows_at_tiny_theta(theta, rows, capsys):
+    # theta = a/b with b = 2^1074 and 2^1049: the exact integer check and its rounding
+    assert main(["verify", "--theorem", "3", "--theta", theta]) == 0
+    assert capsys.readouterr().out.splitlines() == rows + ["2/2 checks passed"]
+
+
+def test_verify_cli_theorem3_at_1e300_is_too_large_for_a_float(capsys):
+    assert main(["verify", "--theorem", "3", "--theta", "1e300"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["numerical breakdown: cubic coefficient at theta = "
+                                    "1.0000000000000001e+300 is too large for a float"]
+
+
 def test_verify_cli_writes_csv(tmp_path, capsys):
     out = tmp_path / "checks.csv"
     assert main(["verify", "--theorem", "4", "--out", str(out)]) == 0
