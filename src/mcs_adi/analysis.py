@@ -185,13 +185,15 @@ def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
 
 
 def _workers(threads) -> int:
-    """Pool size: `threads`, at least one, at most the usable CPUs (their count by default)."""
+    """Pool size: `threads` (at least 1), at most the usable CPUs (their count by default)."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if not (threads is None or isinstance(threads, numbers.Integral)):
         raise DomainError(f"threads must be an integer, got {threads!r}")
+    if threads is not None and threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     # capped: the executor starts a thread per task submitted while none is idle
-    return cpus if threads is None else max(min(threads, cpus), 1)
+    return cpus if threads is None else min(threads, cpus)
 
 
 def _row_slices(rows: int, cols: int) -> list[slice]:
@@ -597,6 +599,8 @@ def verify_theorem(
         check_positive("theta", theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
-    _blocks(seed, samples)  # every theorem checks the scan inputs, used or not
+    # every theorem checks the scan inputs, used or not
+    _blocks(seed, samples)
+    _workers(threads)
     checks = (_thm1_checks, _thm2_checks, _thm3_checks, _thm4_checks, _thm5_checks)[n - 1]
     return checks(seed, samples, threads, theta)

@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples per check")
     p.add_argument(
         "--theta", type=float, default=None,
-        help="evaluate the cubic error coefficient at this theta (theorem 3 only)",
+        help="evaluate the cubic error coefficient at this theta (--theorem 3 or all)",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -184,6 +184,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.theta is not None and args.theorem not in ("3", "all"):
+        raise ConfigError(f"--theorem {args.theorem} does not read --theta")
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0

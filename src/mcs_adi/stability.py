@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,11 @@ class PoleError(ArithmeticError):
 
 
 def check_positive(name: str, value) -> None:
-    """DomainError unless 0 < value < inf; an array must hold there elementwise."""
+    """DomainError unless value is real, 0 < value < inf; an array must hold there elementwise."""
     v = np.asarray(value)
-    if not (np.all(v > 0.0) and np.all(v < math.inf)):
+    # numpy orders complex numbers lexicographically, so 1j would pass the bounds
+    real = v.dtype.kind in "biuf" or all(isinstance(x, numbers.Real) for x in v.flat)
+    if not (real and np.all(v > 0.0) and np.all(v < math.inf)):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 

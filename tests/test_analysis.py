@@ -341,8 +341,11 @@ def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     workers = [analysis._workers(None)]
     monkeypatch.delattr(os, "sched_getaffinity")
-    workers += [analysis._workers(t) for t in (None, 0, 3)]
-    assert workers == [3, 8, 1, 3]
+    workers += [analysis._workers(t) for t in (None, 3)]
+    assert workers == [3, 8, 3]
+    for threads in (0, -4):  # an error, not one worker
+        with pytest.raises(DomainError, match=f"^threads must be at least 1, got {threads}$"):
+            analysis._workers(threads)
 
 
 def test_non_integer_thread_count_is_a_domain_error(monkeypatch):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from test_cli_contract import SRC, run_module
 
 import mcs_adi
 from mcs_adi.analysis import CheckResult, complex_z0_scan
@@ -397,15 +398,6 @@ def test_figure1_cli_complex_z0_matches_complex_scan(tmp_path):
     assert "complex_z0 = false" in (tmp_path / "scan.csv.meta").read_text().splitlines()
 
 
-def _run_module(*args):
-    """(exit code, stderr lines) of `python -m mcs_adi ARGS`: numpy warnings included."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mcs_adi.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "mcs_adi", *args],
-                          capture_output=True, text=True, timeout=300, env=env)
-    return proc.returncode, proc.stderr.splitlines()
-
-
 def test_figure1_cli_reports_overflowing_theta_as_numerical_breakdown(tmp_path, capsys):
     # theta^2 |z1 z2| overflows for theta near 1e160: every |S| is NaN, which
     # used to fold to max -inf with no witness and crash the CSV writer
@@ -417,7 +409,6 @@ def test_figure1_cli_reports_overflowing_theta_as_numerical_breakdown(tmp_path, 
         assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == want
     assert not out.exists()
-    assert _run_module(*argv) == (3, want)
 
 
 def test_verify_cli_reports_overflowing_theta_as_numerical_breakdown(capsys):
@@ -429,7 +420,6 @@ def test_verify_cli_reports_overflowing_theta_as_numerical_breakdown(capsys):
         assert main(argv) == 3
     out = capsys.readouterr()
     assert out.out == "" and out.err.splitlines() == want
-    assert _run_module(*argv) == (3, want)
 
 
 # ------------------------------------------------------------ convergence CLI
@@ -573,25 +563,6 @@ def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out and "0/1 checks passed" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["solve", "--config", None], ["figure1", "--samples", "10"], ["verify", "--theorem", "3"],
-     ["convergence", "--levels", "1"]],
-    ids=["solve", "figure1", "verify", "convergence"],
-)
-def test_unwritable_out_is_a_usage_error(argv, config_path, tmp_path):
-    argv = [config_path if a is None else a for a in argv]
-    out = tmp_path / "no_such_dir" / "x.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "mcs_adi", *argv, "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 2
-    err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
-    assert "Traceback" not in proc.stderr
-
-
 # ---------------------------------------------------------- amplification CLI
 
 
@@ -640,16 +611,6 @@ def test_amplification_cli_takes_the_scheme_from_the_file(tmp_path, capsys):
 def test_amplification_cli_bad_mode(config_path, capsys):
     assert main(["amplification", "--config", config_path, "--k1", "99", "--k2", "0"]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_amplification_cli_overflow_is_one_stderr_line(tmp_path):
-    # z1 = -4e155 overflows p^2 in both closed forms of S: one numerical
-    # breakdown line, and no numpy RuntimeWarning before it
-    path = tmp_path / "overflow.cfg"
-    path.write_text("m1 = 8\nm2 = 8\ndx = 1\ndy = 1\ndt = 1\ntheta = 0.4\n"
-                    "d11 = 1e155\nd12 = 1e67\nd21 = 1e67\nd22 = 1e-20\n")
-    code, err = _run_module("amplification", "--config", str(path), "--k1", "4", "--k2", "4")
-    assert code == 3 and len(err) == 1 and err[0].startswith("numerical breakdown: "), err
 
 
 @pytest.mark.parametrize("command", [["solve"], ["amplification", "--k1", "1", "--k2", "0"]],
@@ -737,11 +698,8 @@ def test_help_prints_usage_and_exits_zero(capsys):
     assert captured.out.startswith("usage: mcs-adi figure1 ") and captured.err == ""
 
 
-def test_module_entry_point(config_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "mcs_adi", "verify", "--theorem", "4"],
-        capture_output=True, text=True, timeout=300,
-    )
+def test_module_entry_point():
+    proc = run_module("verify", "--theorem", "4")
     assert proc.returncode == 0
     assert "6/6 checks passed" in proc.stdout
 
@@ -886,9 +844,8 @@ def test_commands_execute_only_the_layers_they_run(command, futures, executed, t
                     "d11 = 0.05\nd22 = 0.05\nd12 = 0.01\ninitial = random:1\n")
     if command[0] == "solve":
         command = command + ["--config", str(path)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mcs_adi.__file__)))
     proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *command], capture_output=True,
-                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.stdout.split() == ["0", str(futures), *executed], proc.stderr
 
 

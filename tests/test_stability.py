@@ -38,6 +38,10 @@ def test_scheme_params_validation():
         SchemeParams(0.5, float("inf"))
     with pytest.raises(DomainError):
         SchemeParams(float("nan"), 0.1)
+    # numpy orders complex numbers lexicographically: 1j > 0 there
+    for theta in (1j, 0.5 + 0j, "0.5", None):
+        with pytest.raises(DomainError, match=r"^theta must be positive and finite, got "):
+            SchemeParams(theta, 0.1)
 
 
 def test_spectral_point_coercion_and_sum():
@@ -278,6 +282,8 @@ def test_thm5_bound_domain():
         thm5_bound(0.5, -0.1, 0.0)
     with pytest.raises(DomainError):
         thm5_bound(0.0, 0.5, 0.0)
+    with pytest.raises(DomainError, match=r"^theta must be positive and finite, got 1j$"):
+        thm5_bound(1j, 0.5, 0.1)
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
