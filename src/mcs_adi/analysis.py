@@ -590,12 +590,14 @@ def verify_theorem(
 ) -> list[CheckResult]:
     """Run the named checks of threshold n (1..5); quick by construction.
 
-    `theta` only affects n = 3, where it redirects the exact cubic
-    coefficient to a caller-chosen parameter value.
+    `theta` redirects the exact cubic coefficient of n = 3 to a
+    caller-chosen parameter value; any other n raises DomainError for it.
     """
     if not (isinstance(n, numbers.Integral) and 1 <= n <= 5):
         raise DomainError(f"theorem number must be 1..5, got {n}")
     if theta is not None:
+        if n != 3:
+            raise DomainError(f"theorem {n} does not read theta")
         check_positive("theta", theta)
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES

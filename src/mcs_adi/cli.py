@@ -184,14 +184,17 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.theta is not None and args.theorem not in ("3", "all"):
-        raise ConfigError(f"--theorem {args.theorem} does not read --theta")
+    if args.theta is not None:
+        if args.theorem not in ("3", "all"):
+            raise ConfigError(f"--theorem {args.theorem} does not read --theta")
+        check_positive("theta", args.theta)  # before theorems 1 and 2 print their rows
     numbers = (1, 2, 3, 4, 5) if args.theorem == "all" else (int(args.theorem),)
     rows = []
     failed = 0
     for n in numbers:
         for res in analysis.verify_theorem(
-            n, seed=args.seed, samples=args.samples, threads=args.threads, theta=args.theta
+            n, seed=args.seed, samples=args.samples, threads=args.threads,
+            theta=args.theta if n == 3 else None,
         ):
             rows.append((n, res))
             status = "PASS" if res.passed else "FAIL"

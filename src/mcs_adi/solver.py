@@ -51,18 +51,23 @@ over the field's rows taken as one flat array, which in the wrap column
 pairs each row with the last entry of the row above, followed by a strided
 multiply that redoes the wrap column; every operand is one-dimensional, so
 numpy needs no iterator buffers for it.  The mixed stencil reads its nine
-neighbours as views of a copy of the field with one periodic ghost layer on
-every side, and adds the neighbours that share a weight before multiplying,
-so A0 is four weighted sums
+neighbours from a copy of the field with one periodic ghost layer on every
+side, and adds the neighbours that share a weight before multiplying, so A0
+is four weighted sums
 w++ (h++ + h--) + w-+ (h-+ + h+-) + we ((h+0 + h-0) + h0+ + h0-) + wc h00,
-with a group of weight zero left out.  Every sum is formed in the same
+with a group of weight zero left out.  The sums run on the halo rows, of
+width W = m2 + 2, as one flat array: neighbour (di, dj) of B rows is its
+slice of length (B - 1) W + m2 from offset (1 + di) W + 1 + dj, the
+accumulator has the same layout (its ghost columns are never read), and one
+copy moves its interior into the result.  Every sum is formed in the same
 order as with rolled copies, so the results are bit-identical to them.
 
 The stencils and the backward-error check of a solve run in row bands of
 at most _BAND_POINTS = 2^15 grid points, 256 KiB per float64 array, so that
 the operands and scratch of a band stay in a 2 MiB L2 cache between the
 passes over it, where a 512^2 field spills it.  A0 fills the halo of one
-band, of shape (B + 2, m2 + 2) for B rows, and sums on it; the check forms
+band, of shape (B + 2, m2 + 2) for B rows, sums on it into the band's
+residual scratch, and copies the band's rows out; the check forms
 r = ((m_diag x + m_sub x[i-1]) + m_sup x[i+1]) - rhs on one band and takes
 the max of |r|, |x| and |rhs| there before it reads the next.  A grid of
 at most _BAND_POINTS points is one band.  The FFTs, the matrix products
@@ -71,13 +76,12 @@ same operations in the same order in any band, so the bands change no bit
 of a result.
 
 A step allocates the arrays of its solves (one matrix product result, or
-the arrays of an FFT round trip), the last of which it returns, the
-finiteness masks of `validate_field`, and the iterator buffers of numpy
-for A0's sums of the strided halo views (up to 192 KiB per call).  Each
-thread that steps with a SplitOperators gets its own workspace of float64
-grid fields and band scratch, built on its first use (building the
-operators stays cheap), and every stage value, stencil product and solve
-residual is written there by ufunc `out=` calls.  The stages are formed in
+the arrays of an FFT round trip), the last of which it returns, and the
+finiteness masks of `validate_field`.  Each thread that steps with a
+SplitOperators gets its own workspace of float64 grid fields and band
+scratch, built on its first use (building the operators stays cheap), and
+every stage value, stencil product and solve residual is written there by
+ufunc `out=` calls.  The stages are formed in
 the order of the formulas above, with a product such as theta dt A1 U
 computed once for predictor and corrector; only operands of the
 IEEE-commutative `+` and `*` may swap places, so a step is bit-identical to
@@ -232,14 +236,15 @@ class _Workspace:
     step, and `aux` holds one stage product at a time.  The stencil and
     residual kernels run band by band over `bands` (see _Band), which share
     the band-sized scratch `tmp`, `res` and `halo` and write their max-abs
-    values to the rows of `peaks`.
+    values to the rows of `peaks`.  `res` is flat, three bands for a solve
+    check and two of the halo's width for A0.
     """
 
     def __init__(self, shape: tuple[int, int], mixed_groups):
         m1, m2 = shape
         rows = min(m1, max(1, _BAND_POINTS // m2))
         self.y0, self.a1, self.a2, self.rhs, self.aux = (np.empty(shape) for _ in range(5))
-        self.tmp, self.res = np.empty((rows, m2)), np.empty((3, rows, m2))
+        self.tmp, self.res = np.empty((rows, m2)), np.empty(rows * max(3 * m2, 2 * m2 + 4))
         self.halo = np.empty((rows + 2, m2 + 2))
         starts = range(0, m1, rows)
         self.peaks = np.empty((len(starts), 3))
@@ -263,7 +268,8 @@ class _Band:
     `halo_rows` and `halo_cols` fill the (r1 - r0 + 2, m2 + 2) periodic halo
     of the band, the rows from u and the ghost columns from the halo itself,
     and `a0_terms` holds, for each nonzero weight of A0, the weight and the
-    views of the halo that it multiplies.
+    flat slices of the halo that it multiplies.  A0 sums them in `res`, by
+    group into `a0_sum` and in total into `a0_acc`, whose interior is `a0_out`.
     """
 
     def __init__(self, ws: _Workspace, k: int, r0: int, r1: int, mixed_groups):
@@ -271,7 +277,7 @@ class _Band:
         h, a, b = r1 - r0, r0 * m2, r1 * m2
         self.rows = slice(r0, r1)
         t = self.tmp = ws.tmp[:h]
-        self.res = ws.res[:, :h]
+        self.res = ws.res[: 3 * h * m2].reshape(3, h, m2)
         self.res_parts = tuple(self.res)
         self.peaks = ws.peaks[k]
         flat = t.reshape(-1)
@@ -287,8 +293,11 @@ class _Band:
         self.halo_rows = ((hb[1:-1, 1:-1], self.rows), (hb[0, 1:-1], (r0 - 1) % m1),
                           (hb[-1, 1:-1], r1 % m1))
         self.halo_cols = ((hb[:, 0], hb[:, -2]), (hb[:, -1], hb[:, 1]))
+        w, n = m2 + 2, (h - 1) * (m2 + 2) + m2
+        self.a0_acc, self.a0_sum = ws.res[:n], ws.res[h * w : h * w + n]
+        self.a0_out = ws.res[: h * w].reshape(h, w)[:, :m2]
         self.a0_terms = tuple(
-            (weight, tuple(hb[1 + di : 1 + di + h, 1 + dj : 1 + dj + m2] for di, dj in offsets))
+            (weight, tuple(hb.reshape(-1)[(1 + di) * w + 1 + dj :][:n] for di, dj in offsets))
             for weight, offsets in mixed_groups
         )
 
@@ -356,7 +365,7 @@ def apply_split_operator(
                 dst[...] = u[index]
             for dst, ghost in band.halo_cols:
                 dst[...] = ghost
-            o, tmp = out[band.rows], band.tmp
+            o, tmp = band.a0_acc, band.a0_sum
             for k, (weight, (acc, *rest)) in enumerate(band.a0_terms):
                 # o (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
                 for nb in rest:
@@ -365,6 +374,7 @@ def apply_split_operator(
                     np.multiply(weight, acc, out=o)
                 else:
                     np.add(o, np.multiply(weight, acc, out=tmp), out=o)
+            out[band.rows] = band.a0_out
         return out
     sub, diag, sup, _ = ops.directional_stencil(j)
     src = u if j == 1 else u.reshape(-1)

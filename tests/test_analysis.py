@@ -1018,6 +1018,13 @@ def test_verify_theorem3_accepts_parameter_override():
     assert checks[0].passed and abs(checks[0].measured - (-1.2)) <= 0.012
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_verify_theorem_rejects_theta_unless_theorem_3(n):
+    # only theorem 3 reads theta; the others used to ignore it silently
+    with pytest.raises(DomainError, match=f"^theorem {n} does not read theta$"):
+        verify_theorem(n, theta=0.3)
+
+
 @pytest.mark.parametrize(
     "theta, tag, kind",
     [(1e-5, "1e-05", "negative"), (0.39999, "0_39999", "negative"),

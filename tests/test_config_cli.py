@@ -563,6 +563,19 @@ def test_verify_cli_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out and "0/1 checks passed" in out
 
 
+def test_verify_cli_passes_theta_to_theorem_3_alone(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("mcs_adi.analysis.verify_theorem",
+                        lambda n, **kw: calls.append((n, kw["theta"])) or [])
+    assert main(["verify", "--theta", "0.38"]) == 0
+    assert calls == [(1, None), (2, None), (3, 0.38), (4, None), (5, None)]
+    # a bad theta is rejected before theorem 1 runs, so no row is printed
+    capsys.readouterr()
+    assert main(["verify", "--theta=-inf"]) == 2
+    assert capsys.readouterr() == ("", "error: theta must be positive and finite, got -inf\n")
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------- amplification CLI
 
 

@@ -114,7 +114,9 @@ def _apply_rolled(ops, j, u):
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, -1.0, 1.0])
 @pytest.mark.parametrize(
-    "shape", [(3, 3), (3, 5), (5, 3), (8, 6)], ids=lambda s: f"{s[0]}x{s[1]}"
+    # 257x259 runs in three bands (126, 126 and 5 rows), 3x40000 in bands of one row
+    "shape", [(3, 3), (3, 5), (5, 3), (8, 6), (257, 259), (3, 40000)],
+    ids=lambda s: f"{s[0]}x{s[1]}",
 )
 def test_apply_matches_rolled_stencils_bitwise(shape, beta):
     grid = GridSpec(m1=shape[0], m2=shape[1], dx=0.2, dy=0.25, beta=beta)
@@ -545,8 +547,10 @@ def test_warm_step_allocates_only_its_solve_arrays(n):
 def test_axis_1_stencil_allocates_only_the_finiteness_mask(n):
     # the shifts along axis 1 run as flat passes over contiguous rows, so numpy
     # needs no iterator buffers for them (which cost 3.5 fields at 16^2 and 1.5
-    # at 128^2 when they added transposed views); what remains is the boolean
-    # mask and reduction of validate_field, which every apply makes
+    # at 128^2 when they added transposed views); nor does A0, whose neighbours
+    # are flat slices of the band halo (2-D halo views cost 2.7 and 1.0 fields);
+    # what remains is the boolean mask and reduction of validate_field, which
+    # every apply makes
     grid = GridSpec(m1=n, m2=n, dx=1.0 / n, dy=1.0 / n, beta=0.5)
     ops = build_split_operators(COEFFS, grid)
     u = np.random.Generator(np.random.Philox(key=53)).standard_normal(grid.shape)
@@ -563,7 +567,8 @@ def test_axis_1_stencil_allocates_only_the_finiteness_mask(n):
             tracemalloc.stop()
 
     mask = peak(lambda: validate_field(grid, u))
-    assert peak(lambda: apply_split_operator(ops, 2, u, out=out)) - mask < 0.05 * u.nbytes
+    for j in (0, 2):
+        assert peak(lambda: apply_split_operator(ops, j, u, out=out)) - mask < 0.05 * u.nbytes
 
 
 def test_threads_sharing_operators_step_like_serial_runs():
