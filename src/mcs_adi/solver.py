@@ -81,12 +81,12 @@ finiteness masks of `validate_field`.  Each thread that steps with a
 SplitOperators gets its own workspace of float64 grid fields and band
 scratch, built on its first use (building the operators stays cheap), and
 every stage value, stencil product and solve residual is written there by
-ufunc `out=` calls.  The stages are formed in
-the order of the formulas above, with a product such as theta dt A1 U
-computed once for predictor and corrector; only operands of the
-IEEE-commutative `+` and `*` may swap places, so a step is bit-identical to
-the plain array expressions.  A returned field is never a workspace array:
-two step results can be kept side by side.
+ufunc `out=` calls.  The stages are formed in the order of the formulas
+above, with a product such as theta dt A1 U computed once for predictor and
+corrector; only operands of the IEEE-commutative `+` and `*` may swap
+places, so a step is bit-identical to the plain array expressions.  A
+returned field is never a workspace array: two step results can be kept
+side by side.
 
 `mode_amplification` closes the loop with the Fourier analysis: it runs the
 actual stepper on a cosine/sine mode pair and projects out the complex
