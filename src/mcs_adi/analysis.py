@@ -29,11 +29,14 @@ are float cross-checks outside them.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
-evaluates a batch of triplets with one `stability_function` call and
-returns the first maximum with its witness, and `_first_max` folds the
-batches in a fixed order with a strict >, so the reported witness depends
-neither on the batch size nor on the thread count.  A batch holds at most
-BLOCK_SAMPLES points (a Monte-Carlo block, or a band of grid rows).
+evaluates a batch of triplets and returns the first maximum with its
+witness, and `_first_max` folds the maxima in a fixed order with a strict >,
+so the reported witness depends neither on the batch or chunk size nor on
+the thread count.  A batch holds at most BLOCK_SAMPLES points (a
+Monte-Carlo block, or a band of grid rows), and is drawn and evaluated in
+leading-axis chunks of at most _SCAN_CHUNK points (block elements, or grid
+rows), one `stability_function` call per chunk, so that the scratch of a
+draw or of an evaluation is a few chunk-sized arrays, not block-sized ones.
 
 Every scan over many batches -- the cone scans and the two grids -- runs on
 one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
@@ -83,6 +86,10 @@ LN10 = math.log(10.0)
 #: Samples per Monte-Carlo block; block boundaries define the reduction order.
 BLOCK_SAMPLES = 1 << 16
 
+#: Points per scan chunk: a batch is drawn and evaluated in leading-axis
+#: slices of at most this many points, so its scratch arrays stay this small.
+_SCAN_CHUNK = 1 << 14
+
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 2_000_000
 
@@ -105,17 +112,25 @@ def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=int(block) << 128))
 
 
-def _cone_z_pair(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, z2) with log-uniform magnitudes 10^[-4, 1] from uniform columns 1..6.
+def _cone_z_pair(r: np.ndarray, z1: np.ndarray, z2: np.ndarray, t: np.ndarray) -> None:
+    """Fill z1, z2 with log-uniform magnitudes 10^[-4, 1] from uniform columns 1..6 of r.
 
     Columns: 1, 3 -> real-part exponents; 2, 4 -> imaginary-part exponents;
     5, 6 -> imaginary-part sign bits.  Real parts are strictly negative.
+    Each magnitude is computed in the contiguous float scratch t (len(r)
+    points), the layout of a whole-block draw, so that exp takes the same
+    SIMD loop, whatever numpy does for a strided output (libm's exp differs
+    in the last bit).  The parts are stored as re + 1j * im stores them, and
+    a sign bit negates exactly.
     """
-    re1 = -np.exp(LN10 * (1.0 - 5.0 * r[:, 1]))
-    im1 = np.where(r[:, 5] < 0.5, 1.0, -1.0) * np.exp(LN10 * (1.0 - 5.0 * r[:, 2]))
-    re2 = -np.exp(LN10 * (1.0 - 5.0 * r[:, 3]))
-    im2 = np.where(r[:, 6] < 0.5, 1.0, -1.0) * np.exp(LN10 * (1.0 - 5.0 * r[:, 4]))
-    return re1 + 1j * im1, re2 + 1j * im2
+    for z, (re, im, sign) in ((z1, (1, 2, 5)), (z2, (3, 4, 6))):
+        for part, col in ((z.real, re), (z.imag, im)):
+            np.multiply(5.0, r[:, col], out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(LN10, t, out=t)
+            part[...] = np.exp(t, out=t)
+        np.negative(z.real, out=z.real)
+        np.negative(z.imag, out=z.imag, where=r[:, sign] >= 0.5)
 
 
 def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
@@ -123,17 +138,30 @@ def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
 
     Column 0 is the signed radial coordinate of z0 in [-1, 1] times the cone
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
-    uniform phase, and the block comes from the complex-z0 stream.
+    uniform phase, and the block comes from the complex-z0 stream.  The rows
+    are drawn _SCAN_CHUNK at a time, in sequence from the block's one
+    generator, and each chunk is computed into its part of z0, z1 and z2
+    through one float scratch: the bits of one draw of all n rows, with a
+    chunk, not the block, of scratch.
     """
     g = _block_generator(seed, _COMPLEX_STREAM_BASE if complex_z0 else 0, block)
-    r = g.random((n, 8 if complex_z0 else 7))
-    z1, z2 = _cone_z_pair(r)
-    y = 2.0 * np.sqrt(z1.real * z2.real)
-    rad = 2.0 * r[:, 0] - 1.0
-    if complex_z0:
-        z0 = rad * y * np.exp(2j * np.pi * r[:, 7])
-    else:
-        z0 = (rad * y).astype(complex)
+    z0, z1, z2 = (np.empty(n, complex) for _ in range(3))
+    rows = np.empty((min(n, _SCAN_CHUNK), 8 if complex_z0 else 7))
+    scratch = np.empty(len(rows))
+    for lo in range(0, n, _SCAN_CHUNK):
+        s = slice(lo, min(lo + _SCAN_CHUNK, n))
+        r = g.random(out=rows[: s.stop - lo])
+        t = scratch[: len(r)]
+        _cone_z_pair(r, z1[s], z2[s], t)
+        np.multiply(z1.real[s], z2.real[s], out=t)
+        np.multiply(2.0, np.sqrt(t, out=t), out=t)  # the cone radius y
+        rad = np.multiply(2.0, r[:, 0], out=z0.real[s])  # z0's storage as scratch
+        np.multiply(np.subtract(rad, 1.0, out=rad), t, out=t)  # rad * y
+        if complex_z0:
+            w = np.multiply(2j * np.pi, r[:, 7], out=z0[s])
+            np.multiply(t, np.exp(w, out=w), out=w)
+        else:
+            z0[s] = t
     return z0, z1, z2
 
 
@@ -175,13 +203,28 @@ def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
 
 
 def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
-    """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point."""
+    """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point.
+
+    Evaluated in leading-axis slices of at most _SCAN_CHUNK points (elements
+    of a cone block, rows of a grid band), each by one `stability_function`
+    call; `_first_max` folds the slice maxima, with their flat indices in the
+    batch, in order, and only the winner becomes a SpectralPoint.
+    """
+    zs = np.broadcast_arrays(z0, z1, z2, *(() if zz is None else (zz,)))
+    row = math.prod(zs[0].shape[1:])
+    step = max(_SCAN_CHUNK // row, 1)
+
+    def slice_max(lo):
+        v = np.abs(stability_function(theta, *[z[lo : lo + step] for z in zs]))
+        i = int(v.argmax())
+        return v.item(i), lo * row + i
+
     # an overflow shows as a NaN or inf maximum, which callers report; set here
     # because pool threads do not inherit the submitting thread's errstate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = np.abs(stability_function(theta, z0, z1, z2, zz=zz))
-    i = np.unravel_index(int(np.argmax(v)), v.shape)
-    return float(v[i]), SpectralPoint(*(z[i] for z in np.broadcast_arrays(z0, z1, z2)))
+        val, k = _first_max(slice_max(lo) for lo in range(0, len(zs[0]), step))
+    i = np.unravel_index(k, zs[0].shape)
+    return val, SpectralPoint(*(z[i] for z in zs[:3]))
 
 
 def _workers(threads) -> int:
@@ -202,12 +245,13 @@ def _row_slices(rows: int, cols: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
-def _first_max(pairs) -> tuple[float, Optional[SpectralPoint]]:
+def _first_max(pairs) -> tuple[float, Optional[object]]:
     """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
 
-    The fixed order makes the reported witness independent of how the pairs
-    were computed (thread count, batch boundaries).  A NaN (an overflowed
-    |S|) beats every number, as in np.max.
+    A witness is a SpectralPoint, or a flat index inside `_batch_max`.  The
+    fixed order makes the reported witness independent of how the pairs
+    were computed (thread count, batch or chunk boundaries).  A NaN (an
+    overflowed |S|) beats every number, as in np.max.
     """
     best, wit = -math.inf, None
     for val, pt in pairs:
@@ -221,8 +265,10 @@ def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
 
     The one scan driver: W batch draws are in flight on a pool of W threads;
     each draws its batch with the theta-free sum z0 + (z1 + z2) and submits
-    one `_batch_max` task per theta.  The oldest draw is folded, in batch
-    order, before the next is submitted.
+    one `_batch_max` task per theta, which evaluates the batch chunk by
+    chunk.  The oldest draw is folded, in batch order, before the next is
+    submitted.  So a live batch holds its four arrays, and each running task
+    a few arrays of one chunk.
     """
     for t in thetas:
         check_positive("theta", t)
@@ -448,7 +494,8 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     worst = math.inf
     for b, n in _blocks(seed, samples):
         r = _block_generator(seed, _LEMMA2_STREAM, b).random((n, 7))
-        z1, z2 = _cone_z_pair(r)
+        z1, z2 = np.empty(n, complex), np.empty(n, complex)
+        _cone_z_pair(r, z1, z2, np.empty(n))
         worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
     return worst
 

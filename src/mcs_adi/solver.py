@@ -360,27 +360,39 @@ def apply_split_operator(
         if not ops._mixed_groups:
             out.fill(0.0)
             return out
-        for band in ws.bands:
-            for dst, index in band.halo_rows:
-                dst[...] = u[index]
-            for dst, ghost in band.halo_cols:
-                dst[...] = ghost
-            o, tmp = band.a0_acc, band.a0_sum
-            for k, (weight, (acc, *rest)) in enumerate(band.a0_terms):
-                # o (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
-                for nb in rest:
-                    acc = np.add(acc, nb, out=tmp)
-                if k == 0:
-                    np.multiply(weight, acc, out=o)
-                else:
-                    np.add(o, np.multiply(weight, acc, out=tmp), out=o)
-            out[band.rows] = band.a0_out
+        flags = []
+        # the ghost columns' sums may overflow where no result entry does, so
+        # the sums run silently; a result that overflowed runs them again
+        # under the caller's errstate, to warn or raise as the rolled sum does
+        with np.errstate(over="call", invalid="call", call=lambda *_: flags.append(1)):
+            _apply_a0(ws, u, out)
+        if flags and not np.isfinite(out).all():
+            _apply_a0(ws, u, out)
         return out
     sub, diag, sup, _ = ops.directional_stencil(j)
     src = u if j == 1 else u.reshape(-1)
     for band in ws.bands:
         _band_product(band, j, sub, diag, sup, u, src, out[band.rows])
     return out
+
+
+def _apply_a0(ws: _Workspace, u: np.ndarray, out: np.ndarray) -> None:
+    """out = A0 u, band by band on the halo of each band (see _Band)."""
+    for band in ws.bands:
+        for dst, index in band.halo_rows:
+            dst[...] = u[index]
+        for dst, ghost in band.halo_cols:
+            dst[...] = ghost
+        o, tmp = band.a0_acc, band.a0_sum
+        for k, (weight, (acc, *rest)) in enumerate(band.a0_terms):
+            # o (+)= weight * (((h_a + h_b) + h_c) + h_d) over the group's neighbours
+            for nb in rest:
+                acc = np.add(acc, nb, out=tmp)
+            if k == 0:
+                np.multiply(weight, acc, out=o)
+            else:
+                np.add(o, np.multiply(weight, acc, out=tmp), out=o)
+        out[band.rows] = band.a0_out
 
 
 def solve_directional(ops: SplitOperators, j: int, theta_dt: float, rhs: np.ndarray) -> np.ndarray:

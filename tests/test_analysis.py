@@ -138,18 +138,22 @@ def test_scan_fold_does_not_depend_on_task_completion_order(monkeypatch):
 
 def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
     # z0 + (z1 + z2) is computed once per block, bit for bit as
-    # stability_function would compute it itself
+    # stability_function would compute it itself; each theta evaluates the
+    # block in chunks, and each chunk call gets its slice of the sum
     seen = []
 
     def checked(theta, z0, z1, z2, zz=None):
         seen.append(theta)
         assert zz is not None and np.array_equal(zz, z0 + (z1 + z2))
+        assert zz.size <= analysis._SCAN_CHUNK
         return stability_function(theta, z0, z1, z2, zz=zz)
 
     monkeypatch.setattr(analysis, "stability_function", checked)
     figure1_scan(seed=4, samples=SMALL, thetas=(0.3, 0.45), threads=2)
     complex_z0_scan((0.3, 0.45), seed=4, samples=SMALL, threads=2)
-    assert len(seen) == 8
+    chunks = sum(-(-n // analysis._SCAN_CHUNK) for _, n in analysis._blocks(4, SMALL))
+    assert chunks == 5  # 4 of block 0, 1 of block 1
+    assert len(seen) == 2 * 2 * chunks
 
 
 def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
@@ -777,12 +781,13 @@ def _full_batches():
 
 
 @pytest.mark.parametrize("kind", ["complex_block", "real_block", "thm1_band", "thm2_band"])
-def test_batch_max_holds_at_most_three_complex_arrays_of_its_batch(kind):
-    # _max_scan keeps W batches alive on the assumption that evaluating one
-    # costs O(batch): S's three arrays, then |S| beside S.  Called as the scan
-    # calls it, with the block's theta-free sum, so S makes no array for zz.
+def test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk(kind):
+    # _max_scan keeps W batches and W * thetas tasks alive on the assumption
+    # that evaluating a batch costs O(chunk), not O(batch): S's three arrays
+    # of one slice, then |S| beside S.  Called as the scan calls it, with the
+    # block's theta-free sum, so S makes no array for zz.
     batch = _full_batches()[kind]
-    n = np.broadcast(*batch).size
+    assert np.broadcast(*batch).size > 3 * analysis._SCAN_CHUNK
     zz = batch[0] + (batch[1] + batch[2])
     tracemalloc.start()
     try:
@@ -790,8 +795,48 @@ def test_batch_max_holds_at_most_three_complex_arrays_of_its_batch(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * n + (256 << 10)
+    assert peak <= 3 * 16 * analysis._SCAN_CHUNK + (256 << 10)
     assert abs(eval_stability_function(0.3, wit)) == pytest.approx(val, rel=1e-12)
+
+
+def _whole_block_cone_pair(r):
+    """(z1, z2) from uniform columns 1..6, as the cone draw computed them on a whole block."""
+    re1 = -np.exp(analysis.LN10 * (1.0 - 5.0 * r[:, 1]))
+    im1 = np.where(r[:, 5] < 0.5, 1.0, -1.0) * np.exp(analysis.LN10 * (1.0 - 5.0 * r[:, 2]))
+    re2 = -np.exp(analysis.LN10 * (1.0 - 5.0 * r[:, 3]))
+    im2 = np.where(r[:, 6] < 0.5, 1.0, -1.0) * np.exp(analysis.LN10 * (1.0 - 5.0 * r[:, 4]))
+    return re1 + 1j * im1, re2 + 1j * im2
+
+
+def _whole_block_cone_draw(seed, block, n, complex_z0):
+    """One (n, 7 or 8) uniform matrix and whole-block arrays: the reference of the chunked draw."""
+    stream = analysis._COMPLEX_STREAM_BASE if complex_z0 else 0
+    r = analysis._block_generator(seed, stream, block).random((n, 8 if complex_z0 else 7))
+    z1, z2 = _whole_block_cone_pair(r)
+    y = 2.0 * np.sqrt(z1.real * z2.real)
+    rad = 2.0 * r[:, 0] - 1.0
+    if complex_z0:
+        return rad * y * np.exp(2j * np.pi * r[:, 7]), z1, z2
+    return (rad * y).astype(complex), z1, z2
+
+
+@pytest.mark.parametrize("complex_z0", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 16383, 16384, 16385, 3392, 65536])
+def test_chunked_cone_draw_matches_the_whole_block_draw(n, complex_z0):
+    # chunk boundaries at 16384 rows; 3392 is the last block of 200 000 samples
+    assert analysis._SCAN_CHUNK == 16384
+    for seed, block in ((1, 0), (4242, 3)):
+        got = analysis._draw_cone_block(seed, block, n, complex_z0)
+        want = _whole_block_cone_draw(seed, block, n, complex_z0)
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in want]
+
+
+def test_lemma2_min_gap_matches_the_whole_block_draw():
+    worst = math.inf
+    for b, n in analysis._blocks(3, SMALL):
+        r = analysis._block_generator(3, analysis._LEMMA2_STREAM, b).random((n, 7))
+        worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], *_whole_block_cone_pair(r)))))
+    assert lemma2_random_min_gap(seed=3, samples=SMALL) == worst
 
 
 def test_sharp_real_triplet_sits_on_unit_circle():

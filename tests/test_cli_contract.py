@@ -2,12 +2,14 @@
 
 A usage or problem-file error exits 2 and a numerical breakdown 3, each with
 one stderr line; `figure1` and `verify` write the same bytes at any thread
-count, a dense solve at any BLAS thread count; the theorem-1 to -3 rows are
-exact; FFT and row-band solves match the closed form.  Only a subprocess
+count, and two scan commands write pinned bytes; a dense solve is the same
+at any BLAS thread count; the theorem-1 to -3 rows are exact; FFT and
+row-band solves match the closed form.  Only a subprocess
 shows what the process writes: a numpy warning or a traceback is one more
 stderr line.
 """
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -117,6 +119,28 @@ def test_output_bytes_do_not_depend_on_the_thread_count(argv, threads, tmp_path)
     first = output(threads[0])
     for t in threads[1:]:
         assert output(t) == first, t
+
+
+# sha256 of what each command writes.  Each theta sees figure1's 70 000
+# samples in chunks of 4 x 16384 and 4464 points, and theorem 5's 200 000
+# in 12 x 16384 and 3392 points
+PINNED = [
+    ("figure1 --samples 70000 --seed 5 --threads 2 --out f.csv",
+     {"f.csv": "4b3c74a57c6c0e210f06bfb20b221dc2c27e9c8313f186c579adf388081723dd",
+      "f.csv.meta": "d63191291c03aceb7ec0300fabb84b7e7bfc31cc7bd5aebf2b0f14a54173c5d9"}),
+    ("verify --theorem 5 --threads 2 --seed 5",
+     {"stdout": "0c2d50384d7765726cebaa9494caa62904e41a8ca9446471cf80508a078689c0"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", PINNED, ids=["figure1", "verify"])
+def test_scan_output_bytes_are_pinned(argv, want, tmp_path):
+    proc = run_module(*argv.split(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = {name: hashlib.sha256(proc.stdout.encode() if name == "stdout"
+                                else (tmp_path / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
 
 
 THEOREM_ROWS = {

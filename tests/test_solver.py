@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,32 @@ def test_apply_rejects_bad_operator_index():
     ops = build_split_operators(COEFFS, GRID)
     with pytest.raises(DomainError):
         apply_split_operator(ops, 3, np.zeros(GRID.shape))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_a0_overflows_only_where_the_rolled_sum_does(beta):
+    # No grid point has both 1e308 entries among its neighbours, but the
+    # accumulator's ghost columns sum them.  At beta = 0 no result entry
+    # overflows and A0 is silent; at beta = 0.5 the centre weight 1.92
+    # overflows at both entries, and A0 warns, or raises, as the rolled sum does.
+    ops = build_split_operators(PdeCoefficients(d11=0.08, d12=0.04, d21=0.04, d22=0.05),
+                                GridSpec(m1=8, m2=6, dx=1 / 8, dy=1 / 6, beta=beta))
+    u = np.zeros((8, 6))
+    u[4, 5] = u[1, 5] = 1e308
+    results = []
+    for apply in (_apply_rolled, apply_split_operator):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            results.append((apply(ops, 0, u), bool(seen)))
+        with np.errstate(over="raise", invalid="raise"):
+            if beta == 0.0:
+                apply(ops, 0, u)
+            else:
+                with pytest.raises(FloatingPointError):
+                    apply(ops, 0, u)
+    (want, want_warned), (got, warned) = results
+    assert np.array_equal(got, want, equal_nan=True)
+    assert warned == want_warned == (beta != 0.0)
 
 
 def test_apply_rejects_out_overlapping_its_input():
