@@ -245,7 +245,7 @@ def _row_slices(rows: int, cols: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
-def _first_max(pairs) -> tuple[float, Optional[object]]:
+def _first_max(pairs) -> tuple[float, object]:
     """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
 
     A witness is a SpectralPoint, or a flat index inside `_batch_max`.  The
