@@ -35,8 +35,8 @@ so the reported witness depends neither on the batch or chunk size nor on
 the thread count.  A batch holds at most BLOCK_SAMPLES points (a
 Monte-Carlo block, or a band of grid rows), and is drawn and evaluated in
 leading-axis chunks of at most _SCAN_CHUNK points (block elements, or grid
-rows), one `stability_function` call per chunk, so that the scratch of a
-draw or of an evaluation is a few chunk-sized arrays, not block-sized ones.
+rows), one `stability_function` call per chunk, so that the temporaries of a
+draw or of an evaluation are a few chunk-sized arrays, not block-sized ones.
 
 Every scan over many batches -- the cone scans and the two grids -- runs on
 one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
@@ -49,6 +49,8 @@ batch count.
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
 thread count.  Real and complex z0 scans own one stream each, lemma 2 a third.
+All three draw one way: `_uniform_chunks` yields a block's uniform rows a
+chunk at a time, and `_cone_z_pair` turns each chunk into (z1, z2).
 Seed and sample count are checked in one place, `_blocks`, which every seeded
 sweep and `verify_theorem` call: a seed outside [0, 2**64), or a sample
 count that is not a positive integer, is a DomainError.
@@ -112,25 +114,30 @@ def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=int(block) << 128))
 
 
-def _cone_z_pair(r: np.ndarray, z1: np.ndarray, z2: np.ndarray, t: np.ndarray) -> None:
+def _uniform_chunks(seed: int, stream: int, block: int, n: int, cols: int):
+    """(slice, rows) of a block's n uniform rows of `cols` columns, _SCAN_CHUNK rows at a time.
+
+    The block's one generator refills one buffer, so a chunk's rows hold until
+    the next is drawn: the bits of one (n, cols) draw, a chunk in memory.
+    """
+    g = _block_generator(seed, stream, block)
+    buf = np.empty((min(n, _SCAN_CHUNK), cols))
+    for lo in range(0, n, _SCAN_CHUNK):
+        s = slice(lo, min(lo + _SCAN_CHUNK, n))
+        yield s, g.random(out=buf[: s.stop - lo])
+
+
+def _cone_z_pair(r: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
     """Fill z1, z2 with log-uniform magnitudes 10^[-4, 1] from uniform columns 1..6 of r.
 
     Columns: 1, 3 -> real-part exponents; 2, 4 -> imaginary-part exponents;
     5, 6 -> imaginary-part sign bits.  Real parts are strictly negative.
-    Each magnitude is computed in the contiguous float scratch t (len(r)
-    points), the layout of a whole-block draw, so that exp takes the same
-    SIMD loop, whatever numpy does for a strided output (libm's exp differs
-    in the last bit).  The parts are stored as re + 1j * im stores them, and
-    a sign bit negates exactly.
+    Storing the parts gives the bits of re + 1j * im, as no part is zero.
     """
     for z, (re, im, sign) in ((z1, (1, 2, 5)), (z2, (3, 4, 6))):
-        for part, col in ((z.real, re), (z.imag, im)):
-            np.multiply(5.0, r[:, col], out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(LN10, t, out=t)
-            part[...] = np.exp(t, out=t)
-        np.negative(z.real, out=z.real)
-        np.negative(z.imag, out=z.imag, where=r[:, sign] >= 0.5)
+        # exp on a fresh contiguous array: with a strided out= numpy falls back to libm's exp
+        z.real = -np.exp(LN10 * (1.0 - 5.0 * r[:, re]))
+        z.imag = np.where(r[:, sign] < 0.5, 1.0, -1.0) * np.exp(LN10 * (1.0 - 5.0 * r[:, im]))
 
 
 def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
@@ -138,30 +145,16 @@ def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
 
     Column 0 is the signed radial coordinate of z0 in [-1, 1] times the cone
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
-    uniform phase, and the block comes from the complex-z0 stream.  The rows
-    are drawn _SCAN_CHUNK at a time, in sequence from the block's one
-    generator, and each chunk is computed into its part of z0, z1 and z2
-    through one float scratch: the bits of one draw of all n rows, with a
-    chunk, not the block, of scratch.
+    uniform phase, and the block comes from the complex-z0 stream.  Each
+    chunk of `_uniform_chunks` is computed into its part of z0, z1 and z2:
+    the bits of one draw of all n rows, with chunk-sized temporaries.
     """
-    g = _block_generator(seed, _COMPLEX_STREAM_BASE if complex_z0 else 0, block)
+    stream = _COMPLEX_STREAM_BASE if complex_z0 else 0
     z0, z1, z2 = (np.empty(n, complex) for _ in range(3))
-    rows = np.empty((min(n, _SCAN_CHUNK), 8 if complex_z0 else 7))
-    scratch = np.empty(len(rows))
-    for lo in range(0, n, _SCAN_CHUNK):
-        s = slice(lo, min(lo + _SCAN_CHUNK, n))
-        r = g.random(out=rows[: s.stop - lo])
-        t = scratch[: len(r)]
-        _cone_z_pair(r, z1[s], z2[s], t)
-        np.multiply(z1.real[s], z2.real[s], out=t)
-        np.multiply(2.0, np.sqrt(t, out=t), out=t)  # the cone radius y
-        rad = np.multiply(2.0, r[:, 0], out=z0.real[s])  # z0's storage as scratch
-        np.multiply(np.subtract(rad, 1.0, out=rad), t, out=t)  # rad * y
-        if complex_z0:
-            w = np.multiply(2j * np.pi, r[:, 7], out=z0[s])
-            np.multiply(t, np.exp(w, out=w), out=w)
-        else:
-            z0[s] = t
+    for s, r in _uniform_chunks(seed, stream, block, n, 8 if complex_z0 else 7):
+        _cone_z_pair(r, z1[s], z2[s])
+        x = (2.0 * r[:, 0] - 1.0) * (2.0 * np.sqrt(z1.real[s] * z2.real[s]))  # rad * y
+        z0[s] = x * np.exp(2j * np.pi * r[:, 7]) if complex_z0 else x
     return z0, z1, z2
 
 
@@ -488,15 +481,15 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     """Minimum of the Cauchy-Schwarz gap over random (theta, z1, z2).
 
     theta is uniform on (0, 1], z1 and z2 log-uniform over the left
-    half-plane as in the cone sampler.  The gap is nonnegative in exact
-    arithmetic; the observed minimum sits at roundoff scale.
+    half-plane by the cone draw, a chunk at a time.  The gap is nonnegative
+    in exact arithmetic; the observed minimum sits at roundoff scale.
     """
     worst = math.inf
     for b, n in _blocks(seed, samples):
-        r = _block_generator(seed, _LEMMA2_STREAM, b).random((n, 7))
-        z1, z2 = np.empty(n, complex), np.empty(n, complex)
-        _cone_z_pair(r, z1, z2, np.empty(n))
-        worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
+        for _, r in _uniform_chunks(seed, _LEMMA2_STREAM, b, n, 7):
+            z1, z2 = np.empty(len(r), complex), np.empty(len(r), complex)
+            _cone_z_pair(r, z1, z2)
+            worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
     return worst
 
 

@@ -839,6 +839,38 @@ def test_lemma2_min_gap_matches_the_whole_block_draw():
     assert lemma2_random_min_gap(seed=3, samples=SMALL) == worst
 
 
+def test_lemma2_min_gap_is_pinned():
+    # 200 000 samples: three full blocks and one of 3392, each drawn in chunks
+    assert repr(lemma2_random_min_gap(seed=5, samples=200_000)) == "2.0772934154061895e-13"
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds in absolute bytes, so that a larger _SCAN_CHUNK fails them too: a
+# block-sized temporary costs a block-sized heap (the old 4 MiB uniform
+# matrix) or, once glibc maps each one, an mmap and its page faults per call
+# (a whole-block evaluation made figure1 30 % slower).  These guard the draw
+# and the lemma-2 sweep as
+# test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk guards the
+# evaluation.
+@pytest.mark.parametrize("complex_z0", [False, True])
+def test_cone_draw_holds_its_outputs_and_at_most_2_mib_more(complex_z0):
+    peak = _traced_peak(lambda: analysis._draw_cone_block(1, 0, 65536, complex_z0))
+    assert peak <= 3 * 16 * 65536 + (2 << 20)
+
+
+def test_lemma2_sweep_holds_under_4_mib():
+    # 70 000 samples: a full block and one of 4464 points
+    assert _traced_peak(lambda: lemma2_random_min_gap(seed=1, samples=70_000)) < 4 << 20
+
+
 def test_sharp_real_triplet_sits_on_unit_circle():
     theta = 1.0 / 3.0
     pt = thm2_sharp_point(theta)

@@ -2,7 +2,7 @@
 
 A usage or problem-file error exits 2 and a numerical breakdown 3, each with
 one stderr line; `figure1` and `verify` write the same bytes at any thread
-count, and two scan commands write pinned bytes; a dense solve is the same
+count, and three scan commands write pinned bytes; a dense solve is the same
 at any BLAS thread count; the theorem-1 to -3 rows are exact; FFT and
 row-band solves match the closed form.  Only a subprocess
 shows what the process writes: a numpy warning or a traceback is one more
@@ -128,12 +128,15 @@ PINNED = [
     ("figure1 --samples 70000 --seed 5 --threads 2 --out f.csv",
      {"f.csv": "4b3c74a57c6c0e210f06bfb20b221dc2c27e9c8313f186c579adf388081723dd",
       "f.csv.meta": "d63191291c03aceb7ec0300fabb84b7e7bfc31cc7bd5aebf2b0f14a54173c5d9"}),
+    ("figure1 --complex-z0 --samples 70000 --seed 5 --threads 2 --out f.csv",
+     {"f.csv": "ac53abd7ccafa910049526e3c6f15985d5ce68d36d83acc50607809b4ccc7301",
+      "f.csv.meta": "8eaabc76e162eda571e8dd02e3a6fbe9885e74539cbdaf0ba30e653114f4f984"}),
     ("verify --theorem 5 --threads 2 --seed 5",
      {"stdout": "0c2d50384d7765726cebaa9494caa62904e41a8ca9446471cf80508a078689c0"}),
 ]
 
 
-@pytest.mark.parametrize("argv, want", PINNED, ids=["figure1", "verify"])
+@pytest.mark.parametrize("argv, want", PINNED, ids=["figure1", "figure1-complex-z0", "verify"])
 def test_scan_output_bytes_are_pinned(argv, want, tmp_path):
     proc = run_module(*argv.split(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
