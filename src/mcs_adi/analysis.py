@@ -6,10 +6,12 @@ amplification factor stay inside the unit disk on the whole cone
     Re z1 <= 0,  Re z2 <= 0,  |z0| <= 2 sqrt(Re z1 Re z2) ?
 
 `figure1_scan` draws cone triplets with log-uniform magnitudes over five
-decades (real z0, the discretization case) and records max |S| per theta;
-the transition of the maxima through 1 localizes the threshold near
-theta = 1/3.  `complex_z0_scan` is the same engine with z0 given a random
-phase, the regime whose sharp threshold is 5/12.
+decades (real z0, the discretization case) and records max |S| per theta.
+A sample can show instability, never prove its absence: the default sample's
+maxima are about 1.017 at theta = 1/3 and fall below 1 only from about
+0.375, short of the real-z0 threshold 2/5, near which a finite sample all
+but stops finding |S| > 1.  `complex_z0_scan` is the same engine with z0
+given a random phase, the regime whose sharp threshold is 5/12.
 
 The thmN_* helpers verify the five closed-form thresholds
 
@@ -29,22 +31,22 @@ are float cross-checks outside them.
 
 Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
-evaluates a batch of triplets and returns the first maximum with its
-witness, and `_first_max` folds the maxima in a fixed order with a strict >,
-so the reported witness depends neither on the batch or chunk size nor on
-the thread count.  A batch holds at most BLOCK_SAMPLES points (a
-Monte-Carlo block, or a band of grid rows), and is drawn and evaluated in
-leading-axis chunks of at most _SCAN_CHUNK points (block elements, or grid
-rows), one `stability_function` call per chunk, so that the temporaries of a
-draw or of an evaluation are a few chunk-sized arrays, not block-sized ones.
+evaluates a batch of triplets in leading-axis chunks of at most _SCAN_CHUNK
+points (block elements, or grid rows), one `stability_function` call per
+chunk, and returns the first maximum with its witness; `_first_max` folds
+maxima in a fixed order with a strict >, so the reported witness depends
+neither on the chunk size nor on the thread count.  The temporaries of a
+draw or of an evaluation are a few chunk-sized arrays, not batch-sized ones.
 
-Every scan over many batches -- the cone scans and the two grids -- runs on
-one driver, `_max_scan`, which first checks each theta.  It is a pipeline on
-one pool of W threads with W batch draws in flight: each draws its batch
-with the theta-free sum z0 + (z1 + z2) and submits one task per theta
-(common random numbers); the oldest batch is folded, in batch order, before
-the next draw, so at most W batches live and O(W * thetas) tasks wait at any
-batch count.
+A single-theta deterministic search is a direct call on the calling thread:
+one `_batch_max` over the whole theorem-1 grid or the theorem-4 family, and
+`_first_max` over the theorem-2 grid's `_batch_max` per z0 fraction.  A seeded
+multi-theta sweep runs on `_max_scan`, which checks its inputs first.  It is
+a pipeline on one pool of W threads with W block draws in flight: each draws
+a Monte-Carlo block of at most BLOCK_SAMPLES points with the theta-free sum
+z0 + (z1 + z2) and submits one task per theta (common random numbers); the
+oldest block is folded, in block order, before the next draw, so at most W
+blocks live and O(W * thetas) tasks wait at any block count.
 
 Randomness is counter-based (Philox): a sample block is a pure function of
 (seed, stream, block index), so scans are reproducible bit-for-bit for any
@@ -64,7 +66,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -199,7 +200,7 @@ def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point.
 
     Evaluated in leading-axis slices of at most _SCAN_CHUNK points (elements
-    of a cone block, rows of a grid band), each by one `stability_function`
+    of a cone block, rows of a grid), each by one `stability_function`
     call; `_first_max` folds the slice maxima, with their flat indices in the
     batch, in order, and only the winner becomes a SpectralPoint.
     """
@@ -232,12 +233,6 @@ def _workers(threads) -> int:
     return cpus if threads is None else min(threads, cpus)
 
 
-def _row_slices(rows: int, cols: int) -> list[slice]:
-    """Row batches of a rows x cols grid, each at most BLOCK_SAMPLES points (>= 1 row)."""
-    step = max(BLOCK_SAMPLES // cols, 1)
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
 def _first_max(pairs) -> tuple[float, object]:
     """Fold (max, witness) pairs in the given order; a later pair wins only if larger.
 
@@ -253,50 +248,45 @@ def _first_max(pairs) -> tuple[float, object]:
     return best, wit
 
 
-def _max_scan(thetas, batches, threads) -> list[tuple[float, SpectralPoint]]:
-    """(max |S|, first witness) per theta over `batches`, callables returning (z0, z1, z2).
+def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
+    """Max |S| and its first witness per theta over the cone blocks of (seed, samples).
 
-    The one scan driver: W batch draws are in flight on a pool of W threads;
-    each draws its batch with the theta-free sum z0 + (z1 + z2) and submits
-    one `_batch_max` task per theta, which evaluates the batch chunk by
-    chunk.  The oldest draw is folded, in batch order, before the next is
-    submitted.  So a live batch holds its four arrays, and each running task
-    a few arrays of one chunk.
+    The driver of every seeded multi-theta sweep: W block draws are in
+    flight on a pool of W threads; each draws its block with
+    `_draw_cone_block` and the theta-free sum z0 + (z1 + z2) and submits one
+    `_batch_max` task per theta, which evaluates the block chunk by chunk.
+    The oldest draw is folded, in block order, before the next is submitted.
+    So a live block holds its four arrays, and each running task a few
+    arrays of one chunk.
     """
+    thetas = tuple(float(t) for t in thetas)
+    if not thetas:
+        raise DomainError("need at least one theta")
+    blocks = _blocks(seed, samples)
     for t in thetas:
         check_positive("theta", t)
 
     def evaluate(theta, block):  # the task holds the list, which the fold empties
         return _batch_max(theta, *block)
 
-    def draw(batch):
-        z0, z1, z2 = batch()
+    def draw(b, n):
+        z0, z1, z2 = _draw_cone_block(seed, b, n, complex_z0)
         block = [z0, z1, z2, z0 + (z1 + z2)]
         return block, [pool.submit(evaluate, theta, block) for theta in thetas]
 
-    workers, batches = _workers(threads), iter(batches)
+    workers = _workers(threads)
     best = [(-math.inf, None)] * len(thetas)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        draws = deque(pool.submit(draw, b) for b in islice(batches, workers))
-        while draws:  # in batch order; the next draw waits, so at most W batches live
+        draws = deque(pool.submit(draw, *bn) for bn in islice(blocks, workers))
+        while draws:  # in block order; the next draw waits, so at most W blocks live
             block, evals = draws.popleft().result()
             best = [_first_max((kept, f.result())) for kept, f in zip(best, evals)]
             block.clear()  # frees the arrays now; a worker drops its last task's arguments later
-            draws.extend(pool.submit(draw, b) for b in islice(batches, 1))  # the next, if any
+            draws.extend(pool.submit(draw, *bn) for bn in islice(blocks, 1))  # the next, if any
     finally:  # after a failed task, the queued ones are dropped, not run
         pool.shutdown(cancel_futures=True)
-    return best
-
-
-def _cone_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
-    """`_max_scan` over the Monte-Carlo cone blocks of (seed, samples)."""
-    thetas = tuple(float(t) for t in thetas)
-    if not thetas:
-        raise DomainError("need at least one theta")
-    blocks = (partial(_draw_cone_block, seed, b, n, complex_z0)
-              for b, n in _blocks(seed, samples))
-    maxima, witnesses = zip(*_max_scan(thetas, blocks, threads))
+    maxima, witnesses = zip(*best)
     return ScanReport(
         thetas=thetas,
         max_abs_s=maxima,
@@ -315,12 +305,14 @@ def figure1_scan(
 ) -> ScanReport:
     """Max |S| per theta over random cone triplets with real z0.
 
-    The default grid covers theta in [1/4, 1/2]; maxima sit visibly above 1
-    up to about theta = 1/3 and at or below 1 beyond it.
+    The default grid covers theta in [1/4, 1/2].  On the default sample the
+    maxima fall from about 3.0 at 1/4 to about 1.017 at 1/3, and below 1 only
+    from about 0.375 on.  A maximum above 1 proves instability at its theta;
+    one at or below 1 proves nothing: the real-z0 threshold is 2/5.
     """
     if thetas is None:
         thetas = default_theta_grid()
-    return _cone_scan(thetas, seed, samples, threads, complex_z0=False)
+    return _max_scan(thetas, seed, samples, threads, complex_z0=False)
 
 
 def complex_z0_scan(
@@ -330,7 +322,7 @@ def complex_z0_scan(
     threads: int | None = None,
 ) -> ScanReport:
     """Max |S| per theta with z0 drawn with a uniform phase (full cone)."""
-    return _cone_scan(thetas, seed, samples, threads, complex_z0=True)
+    return _max_scan(thetas, seed, samples, threads, complex_z0=True)
 
 
 _SCAN_CSV_HEADER = (
@@ -375,22 +367,20 @@ class GridScanResult:
     witness: SpectralPoint
 
 
-def thm1_threshold_scan(theta: float, threads: int | None = None) -> GridScanResult:
+def thm1_threshold_scan(theta: float) -> GridScanResult:
     """Max |S(0, i b1, i b2)| over a log grid of pure-imaginary eigenvalues.
 
     Magnitudes cover [1e-3, 1e3] at 200 points per decade, with both signs;
     z0 = 0.  The maximum stays at 1 exactly for theta >= 1/4 and exceeds it
     below.
     """
+    check_positive("theta", theta)
     mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
-    z2 = 1j * b[None, :]
-    bands = (partial(np.broadcast_arrays, 0.0, 1j * b[rows, None], z2)
-             for rows in _row_slices(b.size, b.size))
-    return GridScanResult(*_max_scan((theta,), bands, threads)[0])
+    return GridScanResult(*_batch_max(theta, 0.0, 1j * b[:, None], 1j * b[None, :]))
 
 
-def thm2_real_grid_scan(theta: float, threads: int | None = None) -> GridScanResult:
+def thm2_real_grid_scan(theta: float) -> GridScanResult:
     """Max |S| over all-real cone triplets on a log-magnitude grid.
 
     z1, z2 run over -10^[-3, 3] at 40 points per decade; z0 = t * 2 sqrt(z1 z2)
@@ -398,13 +388,11 @@ def thm2_real_grid_scan(theta: float, threads: int | None = None) -> GridScanRes
     theta >= 1/3 and grows past 1.15 a short distance below (the sharp family
     is z1 = z2 = -1/theta, t = -1).
     """
+    check_positive("theta", theta)
     mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
-    z1 = -mags[:, None]
-    z2 = -mags[None, :]
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
-    bands = (partial(np.broadcast_arrays, t * y[rows], z1[rows], z2)
-             for t in np.linspace(-1.0, 1.0, 41) for rows in _row_slices(mags.size, mags.size))
-    return GridScanResult(*_max_scan((theta,), bands, threads)[0])
+    return GridScanResult(*_first_max(_batch_max(theta, t * y, -mags[:, None], -mags[None, :])
+                                      for t in np.linspace(-1.0, 1.0, 41)))
 
 
 def thm2_sharp_point(theta: float) -> SpectralPoint:
@@ -484,13 +472,13 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     half-plane by the cone draw, a chunk at a time.  The gap is nonnegative
     in exact arithmetic; the observed minimum sits at roundoff scale.
     """
-    worst = math.inf
+    minima = []
     for b, n in _blocks(seed, samples):
         for _, r in _uniform_chunks(seed, _LEMMA2_STREAM, b, n, 7):
             z1, z2 = np.empty(len(r), complex), np.empty(len(r), complex)
             _cone_z_pair(r, z1, z2)
-            worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2))))
-    return worst
+            minima.append(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2)))
+    return float(np.min(minima))  # unlike min(), np.min lets a NaN through
 
 
 # ---------------------------------------------------------------------------

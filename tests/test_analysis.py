@@ -244,24 +244,27 @@ def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
         assert len(thetas) + 1 <= counts[1] <= threads * (len(thetas) + 1)
 
 
-def test_grid_scan_bookkeeping_does_not_grow_with_the_batch_count(monkeypatch):
-    # thm1's grid is 89 batches of one theta each: the grid scans run on the
-    # same pipeline, so at most W batches with a draw and an evaluation each,
-    # 2 W tasks, are pending, and a draw with its evaluation, 2, at least once
+def test_one_theta_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
+    # 24 blocks of one theta each: at most W blocks with a draw and an
+    # evaluation each, 2 W tasks, are pending, and a draw with its
+    # evaluation, 2, at least once
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    want = thm1_threshold_scan(0.3, threads=1)
+    want = figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=1)
     counts = _count_pending_tasks(monkeypatch)
     for threads in (1, 2, 3):
         counts[1] = 0
-        assert thm1_threshold_scan(0.3, threads=threads) == want and counts[0] == 0
+        got = figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=threads)
+        assert got == want and counts[0] == 0
         assert 2 <= counts[1] <= 2 * threads
 
 
-def test_one_theta_grid_scan_evaluates_one_batch_per_worker_at_once(monkeypatch):
-    # thm2's grid is 41 batches of one theta.  The first min(W, 41)
-    # evaluations wait at a barrier of as many parties: a driver that runs
-    # fewer at once breaks it at the timeout, and the scan raises.
-    want = thm2_real_grid_scan(0.3, threads=1)
+def test_one_theta_scan_evaluates_one_block_per_worker_at_once(monkeypatch):
+    # 24 blocks of one theta.  The first min(W, 24) evaluations wait at a
+    # barrier of as many parties: a driver that runs fewer at once breaks it
+    # at the timeout, and the scan raises.
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
+    want = complex_z0_scan((0.3,), seed=3, samples=24 * 1024, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     batch_max = analysis._batch_max
     lock = threading.Lock()
@@ -283,10 +286,10 @@ def test_one_theta_grid_scan_evaluates_one_batch_per_worker_at_once(monkeypatch)
 
     monkeypatch.setattr(analysis, "_batch_max", held)
     for threads in (2, 4, 8):
-        barrier = threading.Barrier(min(threads, 41), timeout=10.0)
+        barrier = threading.Barrier(min(threads, 24), timeout=10.0)
         calls[0] = peak[0] = 0
-        assert thm2_real_grid_scan(0.3, threads=threads) == want
-        assert peak[0] == min(threads, 41)
+        assert complex_z0_scan((0.3,), seed=3, samples=24 * 1024, threads=threads) == want
+        assert peak[0] == min(threads, 24)
 
 
 def test_an_error_inside_a_scan_task_ends_the_scan_with_it(monkeypatch, capsys):
@@ -361,7 +364,8 @@ def test_non_integer_thread_count_is_a_domain_error(monkeypatch):
 
 
 def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
-    # thm1's grid is 89 batches; a thread per task is not a pool
+    # 24 blocks of one theta; a thread per task is not a pool
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
     workers = []
 
     class RecordingExecutor(ThreadPoolExecutor):
@@ -369,10 +373,10 @@ def test_worker_count_is_capped_at_the_usable_cpu_count(monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    want = thm1_threshold_scan(0.3, threads=1)
+    want = figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=1)
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert thm1_threshold_scan(0.3, threads=10**5) == want
+    assert figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=10**5) == want
     assert workers == [3]
 
 
@@ -729,64 +733,45 @@ def _serial_first_max(batches):
     return best, wit
 
 
-def test_grid_scans_do_not_depend_on_threads_or_batching(monkeypatch):
+def test_grid_scans_do_not_depend_on_batching(monkeypatch):
     # References: thm1 folded serially over 256-row batches, thm2 over one
-    # batch per t.  At theta = 1 every thm1 batch attains the maximum 1, so
-    # a fold that keeps the last maximum or folds in completion order fails;
-    # the first thm1 batch is held back so that it also completes last.
+    # batch per t; the scans evaluate chunks of at most _SCAN_CHUNK points.
+    # At theta = 1 every thm1 batch attains the maximum 1, so a fold that
+    # keeps the last maximum fails.
     mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
-    batch_max = analysis._batch_max
     sizes = set()
 
-    def first_batch_late(theta, z0, z1, z2, zz=None):
+    def recorded(theta, z0, z1, z2, zz=None):
         sizes.add(np.broadcast(z0, z1, z2).size)
-        if z1.flat[0] == 1j * b[0]:
-            time.sleep(0.02)
-        return batch_max(theta, z0, z1, z2, zz)
+        return stability_function(theta, z0, z1, z2, zz)
 
-    monkeypatch.setattr(analysis, "_batch_max", first_batch_late)
+    monkeypatch.setattr(analysis, "stability_function", recorded)
     for theta in (0.24, 0.25, 0.5, 1.0):
         want = _serial_first_max(
             (theta, 0.0, 1j * b[i : i + 256, None], 1j * b[None, :])
             for i in range(0, b.size, 256)
         )
-        for threads in (1, 2, 3):
-            r = thm1_threshold_scan(theta, threads=threads)
-            assert (r.max_abs_s, r.witness) == want
+        r = thm1_threshold_scan(theta)
+        assert (r.max_abs_s, r.witness) == want
     mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
     for theta in (0.32, 1.0 / 3.0, 0.5):
         want = _serial_first_max(
             (theta, t * y, -mags[:, None], -mags[None, :]) for t in np.linspace(-1.0, 1.0, 41)
         )
-        for threads in (1, 2, 3):
-            r = thm2_real_grid_scan(theta, threads=threads)
-            assert (r.max_abs_s, r.witness) == want
-    assert max(sizes) <= BLOCK_SAMPLES
+        r = thm2_real_grid_scan(theta)
+        assert (r.max_abs_s, r.witness) == want
+    assert max(sizes) <= analysis._SCAN_CHUNK
 
 
-def _full_batches():
-    mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
-    b = np.concatenate([-mags[::-1], mags])
-    rows = slice(0, BLOCK_SAMPLES // b.size)
-    mags2 = 10.0 ** np.linspace(-3.0, 3.0, 241)
-    y = 2.0 * np.sqrt(mags2[:, None] * mags2[None, :])
-    return {
-        "complex_block": analysis._draw_cone_block(2, 0, BLOCK_SAMPLES, True),
-        "real_block": analysis._draw_cone_block(2, 1, BLOCK_SAMPLES, False),
-        "thm1_band": (0.0, 1j * b[rows, None], 1j * b[None, :]),
-        "thm2_band": (-0.5 * y, -mags2[:, None], -mags2[None, :]),
-    }
-
-
-@pytest.mark.parametrize("kind", ["complex_block", "real_block", "thm1_band", "thm2_band"])
-def test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk(kind):
-    # _max_scan keeps W batches and W * thetas tasks alive on the assumption
-    # that evaluating a batch costs O(chunk), not O(batch): S's three arrays
+@pytest.mark.parametrize("complex_z0", [True, False], ids=["complex_block", "real_block"])
+def test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk(complex_z0):
+    # _max_scan keeps W blocks and W * thetas tasks alive on the assumption
+    # that evaluating a block costs O(chunk), not O(block): S's three arrays
     # of one slice, then |S| beside S.  Called as the scan calls it, with the
     # block's theta-free sum, so S makes no array for zz.
-    batch = _full_batches()[kind]
+    batch = analysis._draw_cone_block(2, 0, BLOCK_SAMPLES, complex_z0)
     assert np.broadcast(*batch).size > 3 * analysis._SCAN_CHUNK
     zz = batch[0] + (batch[1] + batch[2])
     tracemalloc.start()
@@ -839,6 +824,19 @@ def test_lemma2_min_gap_matches_the_whole_block_draw():
     assert lemma2_random_min_gap(seed=3, samples=SMALL) == worst
 
 
+@pytest.mark.parametrize("every_gap", [False, True], ids=["one_per_chunk", "every_gap"])
+def test_lemma2_min_gap_reports_a_nan_gap(monkeypatch, every_gap):
+    # a NaN gap reaches the caller, which then fails `gap >= -1e-12`, as a
+    # NaN maximum of |S| does in the scans
+    def nan_gap(theta, z1, z2):
+        gap = lemma2_gap(theta, z1, z2)
+        gap[slice(None) if every_gap else len(gap) // 2] = math.nan
+        return gap
+
+    monkeypatch.setattr(analysis, "lemma2_gap", nan_gap)
+    assert math.isnan(lemma2_random_min_gap(seed=1, samples=70_000))
+
+
 def test_lemma2_min_gap_is_pinned():
     # 200 000 samples: three full blocks and one of 3392, each drawn in chunks
     assert repr(lemma2_random_min_gap(seed=5, samples=200_000)) == "2.0772934154061895e-13"
@@ -869,6 +867,20 @@ def test_cone_draw_holds_its_outputs_and_at_most_2_mib_more(complex_z0):
 def test_lemma2_sweep_holds_under_4_mib():
     # 70 000 samples: a full block and one of 4464 points
     assert _traced_peak(lambda: lemma2_random_min_gap(seed=1, samples=70_000)) < 4 << 20
+
+
+@pytest.mark.parametrize("scan, grid_points, inputs", [
+    # thm1: one 2402 x 2402 batch, a few 2402-vectors of input
+    (thm1_threshold_scan, 2402**2, 4 * 16 * 2402),
+    # thm2: 41 batches of 241 x 241, with the z0 scale y and t * y as input
+    (thm2_real_grid_scan, 41 * 241**2, 2 * 8 * 241**2),
+], ids=["thm1", "thm2"])
+def test_grid_scans_hold_a_few_chunk_arrays_plus_their_inputs(scan, grid_points, inputs):
+    # each grid is one ordered _batch_max evaluation (thm2: one per t) with no
+    # precomputed zz, so S's arrays of one chunk, zz among them, and |S|
+    bound = 5 * 16 * analysis._SCAN_CHUNK + inputs + (256 << 10)
+    assert bound < 16 * grid_points // 10  # far below the grid materialised as complex
+    assert _traced_peak(lambda: scan(0.3)) <= bound
 
 
 def test_sharp_real_triplet_sits_on_unit_circle():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from mcs_adi.analysis import BLOCK_SAMPLES, _draw_cone_block, _row_slices
+from mcs_adi.analysis import _SCAN_CHUNK, BLOCK_SAMPLES, _draw_cone_block
 from mcs_adi.stability import (
     DomainError,
     PoleError,
@@ -133,13 +133,14 @@ def _scan_batches():
     yield "real_z0_block_float_z0", real[0].real.copy(), *real[1:]
     mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
-    bands = _row_slices(b.size, b.size)
-    assert len(range(b.size)[bands[-1]]) == 26  # the partial last band
-    for rows in (bands[0], bands[-1]):
-        yield f"thm1_band_{rows.start}", 0.0, 1j * b[rows, None], 1j * b[None, :]
+    step = _SCAN_CHUNK // b.size  # the grid rows of one evaluation chunk
+    last = b.size - b.size % step
+    assert b.size - last == 2  # the partial last chunk
+    for rows in (slice(0, step), slice(last, b.size)):
+        yield f"thm1_chunk_{rows.start}", 0.0, 1j * b[rows, None], 1j * b[None, :]
     mags = 10.0 ** np.linspace(-3.0, 3.0, 241)
     y = 2.0 * np.sqrt(mags[:, None] * mags[None, :])
-    yield "thm2_band", -0.7 * y, -mags[:, None], -mags[None, :]
+    yield "thm2_grid", -0.7 * y, -mags[:, None], -mags[None, :]
     x = np.linspace(0.2, 5.0, 193)[:, None]
     phi = np.linspace(-0.6, 0.6, 24)[None, :]
     z1 = -x / 0.4 + 0.0j
