@@ -29,10 +29,10 @@ identities, scaled to integer coefficients, that prove the closed form (module
 for the CLI, computing each value they share once; the grid scans of |S|
 are float cross-checks outside them.
 
-Every max |S| search -- Monte-Carlo blocks, the theorem-1 and theorem-2
+Every max |S| search -- Monte-Carlo chunks, the theorem-1 and theorem-2
 grids and the theorem-4 witness family -- runs on one path: `_batch_max`
 evaluates a batch of triplets in leading-axis chunks of at most _SCAN_CHUNK
-points (block elements, or grid rows), one `stability_function` call per
+points (cone samples, or grid rows), one `stability_function` call per
 chunk, and returns the first maximum with its witness; `_first_max` folds
 maxima in a fixed order with a strict >, so the reported witness depends
 neither on the chunk size nor on the thread count.  The temporaries of a
@@ -41,19 +41,19 @@ draw or of an evaluation are a few chunk-sized arrays, not batch-sized ones.
 A single-theta deterministic search is a direct call on the calling thread:
 one `_batch_max` over the whole theorem-1 grid or the theorem-4 family, and
 `_first_max` over the theorem-2 grid's `_batch_max` per z0 fraction.  A seeded
-multi-theta sweep runs on `_max_scan`, which checks its inputs first.  It is
-a pipeline on one pool of W threads with W block draws in flight: each draws
-a Monte-Carlo block of at most BLOCK_SAMPLES points with the theta-free sum
-z0 + (z1 + z2) and submits one task per theta (common random numbers); the
-oldest block is folded, in block order, before the next draw, so at most W
-blocks live and O(W * thetas) tasks wait at any block count.
+multi-theta sweep runs on `_max_scan`, which checks its inputs first.  Its one
+kind of task draws one chunk of at most _SCAN_CHUNK samples with the
+theta-free sum z0 + (z1 + z2) and evaluates every theta on it (common random
+numbers); a pool of W threads runs them, and the calling thread folds their
+maxima in chunk order, with at most 2W tasks pending at any sample count.
 
-Randomness is counter-based (Philox): a sample block is a pure function of
-(seed, stream, block index), so scans are reproducible bit-for-bit for any
-thread count.  Real and complex z0 scans own one stream each, lemma 2 a third.
-All three draw one way: `_uniform_chunks` yields a block's uniform rows a
-chunk at a time, and `_cone_z_pair` turns each chunk into (z1, z2).
-Seed and sample count are checked in one place, `_blocks`, which every seeded
+Randomness is counter-based (Philox): a chunk's samples are a pure function
+of (seed, stream, block index, first row), drawn on their own by `_uniforms`
+at the chunk's counter, so they are the bits of one draw of the whole block
+of BLOCK_SAMPLES rows, and scans are reproducible bit-for-bit for any thread
+count or chunk size.  Real and complex z0 scans own one stream each, lemma 2
+a third; `_cone_z_pair` turns a chunk's uniform rows into (z1, z2).
+Seed and sample count are checked in one place, `_chunks`, which every seeded
 sweep and `verify_theorem` call: a seed outside [0, 2**64), or a sample
 count that is not a positive integer, is a DomainError.
 """
@@ -86,11 +86,12 @@ from .stability import (
 
 LN10 = math.log(10.0)
 
-#: Samples per Monte-Carlo block; block boundaries define the reduction order.
+#: Samples per Monte-Carlo block: a block's index keys the Philox counter, so
+#: this fixes which numbers a (seed, samples) sweep draws.
 BLOCK_SAMPLES = 1 << 16
 
-#: Points per scan chunk: a batch is drawn and evaluated in leading-axis
-#: slices of at most this many points, so its scratch arrays stay this small.
+#: Points per scan chunk: a sweep is drawn, and a batch evaluated, in
+#: leading-axis slices of at most this many points, so scratch stays this small.
 _SCAN_CHUNK = 1 << 14
 
 DEFAULT_SEED = 0
@@ -105,27 +106,18 @@ _LEMMA2_STREAM = 1 << 32
 _COMPLEX_STREAM_BASE = 1 << 33
 
 
-def _block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Generator positioned at one (seed, stream, block) coordinate.
+def _uniforms(seed: int, stream: int, block: int, lo: int, n: int, cols: int) -> np.ndarray:
+    """Rows lo:lo+n of block `block`'s uniform draw of `cols` columns, drawn on their own.
 
-    The 128-bit Philox key carries (seed, stream); the counter is offset by
-    the block index so blocks never overlap regardless of evaluation order.
+    The 128-bit Philox key carries (seed, stream) and the counter's high
+    word the block index, so blocks never overlap.  Each counter step
+    yields four 64-bit words, one double each, so row lo starts lo * cols / 4
+    steps into the block: a whole counter step because every chunk start lo
+    is a multiple of _SCAN_CHUNK, and _SCAN_CHUNK * cols is a multiple of 4.
     """
     key = int(seed) | (int(stream) << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=int(block) << 128))
-
-
-def _uniform_chunks(seed: int, stream: int, block: int, n: int, cols: int):
-    """(slice, rows) of a block's n uniform rows of `cols` columns, _SCAN_CHUNK rows at a time.
-
-    The block's one generator refills one buffer, so a chunk's rows hold until
-    the next is drawn: the bits of one (n, cols) draw, a chunk in memory.
-    """
-    g = _block_generator(seed, stream, block)
-    buf = np.empty((min(n, _SCAN_CHUNK), cols))
-    for lo in range(0, n, _SCAN_CHUNK):
-        s = slice(lo, min(lo + _SCAN_CHUNK, n))
-        yield s, g.random(out=buf[: s.stop - lo])
+    counter = (int(block) << 128) + lo * cols // 4
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random((n, cols))
 
 
 def _cone_z_pair(r: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
@@ -141,21 +133,19 @@ def _cone_z_pair(r: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> None:
         z.imag = np.where(r[:, sign] < 0.5, 1.0, -1.0) * np.exp(LN10 * (1.0 - 5.0 * r[:, im]))
 
 
-def _draw_cone_block(seed: int, block: int, n: int, complex_z0: bool):
-    """Draw n cone triplets; z0 fills the cone cross-section at each (z1, z2).
+def _draw_cone_chunk(seed: int, block: int, lo: int, n: int, complex_z0: bool):
+    """Draw cone triplets lo:lo+n of a block; z0 fills the cone cross-section at each (z1, z2).
 
     Column 0 is the signed radial coordinate of z0 in [-1, 1] times the cone
     radius 2 sqrt(Re z1 Re z2); with complex_z0 an eighth column adds a
-    uniform phase, and the block comes from the complex-z0 stream.  Each
-    chunk of `_uniform_chunks` is computed into its part of z0, z1 and z2:
-    the bits of one draw of all n rows, with chunk-sized temporaries.
+    uniform phase, and the chunk comes from the complex-z0 stream.
     """
-    stream = _COMPLEX_STREAM_BASE if complex_z0 else 0
-    z0, z1, z2 = (np.empty(n, complex) for _ in range(3))
-    for s, r in _uniform_chunks(seed, stream, block, n, 8 if complex_z0 else 7):
-        _cone_z_pair(r, z1[s], z2[s])
-        x = (2.0 * r[:, 0] - 1.0) * (2.0 * np.sqrt(z1.real[s] * z2.real[s]))  # rad * y
-        z0[s] = x * np.exp(2j * np.pi * r[:, 7]) if complex_z0 else x
+    cols, stream = (8, _COMPLEX_STREAM_BASE) if complex_z0 else (7, 0)
+    r = _uniforms(seed, stream, block, lo, n, cols)
+    z1, z2 = np.empty(n, complex), np.empty(n, complex)
+    _cone_z_pair(r, z1, z2)
+    x = (2.0 * r[:, 0] - 1.0) * (2.0 * np.sqrt(z1.real * z2.real))  # rad * y
+    z0 = x * np.exp(2j * np.pi * r[:, 7]) if complex_z0 else x.astype(complex)
     return z0, z1, z2
 
 
@@ -182,8 +172,12 @@ def default_theta_grid() -> tuple[float, ...]:
     return tuple(0.25 + k / 400.0 for k in range(101))
 
 
-def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
-    """(block index, sample count) of each block of a sweep, lazily; checks both inputs first."""
+def _chunks(seed: int, samples: int) -> Iterator[tuple[int, int, int]]:
+    """(block, first row, row count) of each chunk of a sweep, in sweep order, lazily.
+
+    A block of at most BLOCK_SAMPLES rows is split into chunks of at most
+    _SCAN_CHUNK rows.  Both inputs are checked first.
+    """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
     if not isinstance(samples, numbers.Integral):
@@ -191,16 +185,17 @@ def _blocks(seed: int, samples: int) -> Iterator[tuple[int, int]]:
     if samples <= 0:
         raise DomainError("samples must be positive")
     return (
-        (b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES))
+        (b, lo, min(_SCAN_CHUNK, BLOCK_SAMPLES - lo, samples - b * BLOCK_SAMPLES - lo))
         for b in range(-(-samples // BLOCK_SAMPLES))
+        for lo in range(0, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES), _SCAN_CHUNK)
     )
 
 
 def _batch_max(theta, z0, z1, z2, zz=None) -> tuple[float, SpectralPoint]:
     """Max |S| over the broadcast of (z0, z1, z2) and its first attaining point.
 
-    Evaluated in leading-axis slices of at most _SCAN_CHUNK points (elements
-    of a cone block, rows of a grid), each by one `stability_function`
+    Evaluated in leading-axis slices of at most _SCAN_CHUNK points (a cone
+    chunk, rows of a grid), each by one `stability_function`
     call; `_first_max` folds the slice maxima, with their flat indices in the
     batch, in order, and only the winner becomes a SpectralPoint.
     """
@@ -249,41 +244,39 @@ def _first_max(pairs) -> tuple[float, object]:
 
 
 def _max_scan(thetas, seed, samples, threads, complex_z0) -> ScanReport:
-    """Max |S| and its first witness per theta over the cone blocks of (seed, samples).
+    """Max |S| and its first witness per theta over the cone chunks of (seed, samples).
 
-    The driver of every seeded multi-theta sweep: W block draws are in
-    flight on a pool of W threads; each draws its block with
-    `_draw_cone_block` and the theta-free sum z0 + (z1 + z2) and submits one
-    `_batch_max` task per theta, which evaluates the block chunk by chunk.
-    The oldest draw is folded, in block order, before the next is submitted.
-    So a live block holds its four arrays, and each running task a few
-    arrays of one chunk.
+    The driver of every seeded multi-theta sweep runs one kind of task on a
+    pool of W threads: a task draws one chunk with `_draw_cone_chunk`, forms
+    the theta-free sum z0 + (z1 + z2) once and returns `_batch_max` of every
+    theta on it.  The results are folded in chunk order, and the next task
+    is submitted as the oldest is folded, so at most 2W tasks are pending
+    and at most W chunks alive.
     """
-    thetas = tuple(float(t) for t in thetas)
-    if not thetas:
+    try:
+        raw = tuple(thetas)
+    except TypeError:
+        raise DomainError(f"thetas must be an iterable of theta values, got {thetas!r}") from None
+    if not raw:
         raise DomainError("need at least one theta")
-    blocks = _blocks(seed, samples)
-    for t in thetas:
+    chunks = _chunks(seed, samples)
+    for t in raw:
         check_positive("theta", t)
+    thetas = tuple(float(t) for t in raw)
 
-    def evaluate(theta, block):  # the task holds the list, which the fold empties
-        return _batch_max(theta, *block)
-
-    def draw(b, n):
-        z0, z1, z2 = _draw_cone_block(seed, b, n, complex_z0)
-        block = [z0, z1, z2, z0 + (z1 + z2)]
-        return block, [pool.submit(evaluate, theta, block) for theta in thetas]
+    def task(b, lo, n):
+        z0, z1, z2 = _draw_cone_chunk(seed, b, lo, n, complex_z0)
+        zz = z0 + (z1 + z2)
+        return [_batch_max(theta, z0, z1, z2, zz) for theta in thetas]
 
     workers = _workers(threads)
     best = [(-math.inf, None)] * len(thetas)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        draws = deque(pool.submit(draw, *bn) for bn in islice(blocks, workers))
-        while draws:  # in block order; the next draw waits, so at most W blocks live
-            block, evals = draws.popleft().result()
-            best = [_first_max((kept, f.result())) for kept, f in zip(best, evals)]
-            block.clear()  # frees the arrays now; a worker drops its last task's arguments later
-            draws.extend(pool.submit(draw, *bn) for bn in islice(blocks, 1))  # the next, if any
+        tasks = deque(pool.submit(task, *c) for c in islice(chunks, 2 * workers))
+        while tasks:  # in chunk order; W tasks run while W more wait
+            best = [_first_max(pair) for pair in zip(best, tasks.popleft().result())]
+            tasks.extend(pool.submit(task, *c) for c in islice(chunks, 1))  # the next, if any
     finally:  # after a failed task, the queued ones are dropped, not run
         pool.shutdown(cancel_futures=True)
     maxima, witnesses = zip(*best)
@@ -309,6 +302,10 @@ def figure1_scan(
     maxima fall from about 3.0 at 1/4 to about 1.017 at 1/3, and below 1 only
     from about 0.375 on.  A maximum above 1 proves instability at its theta;
     one at or below 1 proves nothing: the real-z0 threshold is 2/5.
+
+    `thetas` is an iterable of positive finite reals.  The sweep runs as one
+    task per chunk of at most _SCAN_CHUNK samples, each evaluating every
+    theta, on up to `threads` workers; a sweep of one chunk uses one worker.
     """
     if thetas is None:
         thetas = default_theta_grid()
@@ -473,11 +470,11 @@ def lemma2_random_min_gap(seed: int = DEFAULT_SEED, samples: int = 1_000_000) ->
     in exact arithmetic; the observed minimum sits at roundoff scale.
     """
     minima = []
-    for b, n in _blocks(seed, samples):
-        for _, r in _uniform_chunks(seed, _LEMMA2_STREAM, b, n, 7):
-            z1, z2 = np.empty(len(r), complex), np.empty(len(r), complex)
-            _cone_z_pair(r, z1, z2)
-            minima.append(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2)))
+    for b, lo, n in _chunks(seed, samples):
+        r = _uniforms(seed, _LEMMA2_STREAM, b, lo, n, 7)
+        z1, z2 = np.empty(n, complex), np.empty(n, complex)
+        _cone_z_pair(r, z1, z2)
+        minima.append(np.min(lemma2_gap(1.0 - r[:, 0], z1, z2)))
     return float(np.min(minima))  # unlike min(), np.min lets a NaN through
 
 
@@ -630,7 +627,7 @@ def verify_theorem(
     if samples is None:
         samples = DEFAULT_VERIFY_SAMPLES
     # every theorem checks the scan inputs, used or not
-    _blocks(seed, samples)
+    _chunks(seed, samples)
     _workers(threads)
     checks = (_thm1_checks, _thm2_checks, _thm3_checks, _thm4_checks, _thm5_checks)[n - 1]
     return checks(seed, samples, threads, theta)

@@ -78,18 +78,18 @@ def test_scan_theta_result_does_not_depend_on_the_rest_of_the_grid():
 
 
 @pytest.mark.parametrize("complex_z0", [False, True])
-def test_scan_draws_each_block_once(monkeypatch, complex_z0):
-    # one draw task per block; the 42 theta evaluations of the block all
-    # reuse its arrays
+def test_scan_draws_each_chunk_once(monkeypatch, complex_z0):
+    # one task per chunk, 4 to a full block; the 42 theta evaluations of the
+    # chunk all reuse its arrays
     samples = 2 * BLOCK_SAMPLES + 1234  # three blocks, the last one partial
     calls = []
-    draw = analysis._draw_cone_block
+    draw = analysis._draw_cone_chunk
 
-    def counting_draw(seed, block, n, cz0):
-        calls.append((block, n, cz0))
-        return draw(seed, block, n, cz0)
+    def counting_draw(seed, block, lo, n, cz0):
+        calls.append((block, lo, n, cz0))
+        return draw(seed, block, lo, n, cz0)
 
-    monkeypatch.setattr(analysis, "_draw_cone_block", counting_draw)
+    monkeypatch.setattr(analysis, "_draw_cone_chunk", counting_draw)
     thetas = tuple(0.25 + k / 160.0 for k in range(42))
     for threads in (1, 2, 3):
         calls.clear()
@@ -98,19 +98,18 @@ def test_scan_draws_each_block_once(monkeypatch, complex_z0):
         else:
             figure1_scan(seed=1, samples=samples, thetas=thetas, threads=threads)
         assert sorted(calls) == [
-            (0, BLOCK_SAMPLES, complex_z0),
-            (1, BLOCK_SAMPLES, complex_z0),
-            (2, 1234, complex_z0),
-        ]
+            (b, lo, 16384, complex_z0) for b in (0, 1) for lo in range(0, BLOCK_SAMPLES, 16384)
+        ] + [(2, 0, 1234, complex_z0)]
 
 
 def test_scan_fold_does_not_depend_on_task_completion_order(monkeypatch):
-    # Blocks 1 and 2 are the complex conjugate of block 0, so every block
-    # ties on max |S|, and block 0 has a witness of its own; the first
-    # (block, theta) task is held back so that it completes last.  A fold in
-    # completion order, or one that keeps the last maximum, reports the
-    # conjugate witness.
-    block0 = analysis._draw_cone_block(9, 0, BLOCK_SAMPLES, False)
+    # Blocks of one chunk each; blocks 1 and 2 are the complex conjugate of
+    # block 0, so every chunk ties on max |S|, and chunk 0 has a witness of
+    # its own; the first chunk's task is held back so that it completes
+    # last.  A fold in completion order, or one that keeps the last maximum,
+    # reports the conjugate witness.
+    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", analysis._SCAN_CHUNK)
+    block0 = analysis._draw_cone_chunk(9, 0, 0, analysis._SCAN_CHUNK, False)
     conj = tuple(np.conj(z) for z in block0)
     blocks = [block0, conj, conj]
     batch_max = analysis._batch_max
@@ -122,7 +121,7 @@ def test_scan_fold_does_not_depend_on_task_completion_order(monkeypatch):
             time.sleep(0.02)
         return batch_max(theta, z0, *rest)
 
-    monkeypatch.setattr(analysis, "_draw_cone_block", lambda seed, b, n, cz0: blocks[b])
+    monkeypatch.setattr(analysis, "_draw_cone_chunk", lambda seed, b, lo, n, cz0: blocks[b])
     monkeypatch.setattr(analysis, "_batch_max", first_task_late)
     thetas = (0.26, 0.3, 1.0 / 3.0, 0.45)
     want = [_serial_first_max((theta, *z) for z in blocks) for theta in thetas]
@@ -131,15 +130,15 @@ def test_scan_fold_does_not_depend_on_task_completion_order(monkeypatch):
         assert tie[0] == mx and tie[1] != wit
     for threads in (1, 2, 3):
         first.clear()
-        r = figure1_scan(seed=9, samples=3 * BLOCK_SAMPLES, thetas=thetas, threads=threads)
+        r = figure1_scan(seed=9, samples=3 * analysis._SCAN_CHUNK, thetas=thetas, threads=threads)
         assert first == [thetas[0]]
         assert list(zip(r.max_abs_s, r.witnesses)) == want
 
 
-def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
-    # z0 + (z1 + z2) is computed once per block, bit for bit as
-    # stability_function would compute it itself; each theta evaluates the
-    # block in chunks, and each chunk call gets its slice of the sum
+def test_scan_hands_every_evaluation_the_chunk_sum(monkeypatch):
+    # z0 + (z1 + z2) is computed once per chunk, bit for bit as
+    # stability_function would compute it itself, and every theta's
+    # evaluation of the chunk gets it
     seen = []
 
     def checked(theta, z0, z1, z2, zz=None):
@@ -151,18 +150,18 @@ def test_scan_hands_every_evaluation_the_block_sum(monkeypatch):
     monkeypatch.setattr(analysis, "stability_function", checked)
     figure1_scan(seed=4, samples=SMALL, thetas=(0.3, 0.45), threads=2)
     complex_z0_scan((0.3, 0.45), seed=4, samples=SMALL, threads=2)
-    chunks = sum(-(-n // analysis._SCAN_CHUNK) for _, n in analysis._blocks(4, SMALL))
+    chunks = len(list(analysis._chunks(4, SMALL)))
     assert chunks == 5  # 4 of block 0, 1 of block 1
     assert len(seen) == 2 * 2 * chunks
 
 
-def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
-    # Small blocks make many of them; a block counts as alive from its draw
-    # until its arrays are freed after the last of its tasks.  Eight workers
-    # on a short switch interval stress the pipeline: a block drawn twice, or
-    # one still held when the next draw is submitted, fails the counts.
-    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
-    draw = analysis._draw_cone_block
+def test_scan_holds_at_most_one_chunk_per_worker(monkeypatch):
+    # Small chunks make many of them; a chunk counts as alive from its draw
+    # until its arrays are freed, when its task returns.  Eight workers on a
+    # short switch interval stress the driver: a chunk drawn twice, or more
+    # chunks alive than workers, fails the counts.
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1024)
+    draw = analysis._draw_cone_chunk
     lock = threading.Lock()
     alive, peak, drawn = [0], [0], []
 
@@ -170,10 +169,10 @@ def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
         with lock:
             alive[0] -= 1
 
-    def tracked_draw(seed, block, n, cz0):
-        z = draw(seed, block, n, cz0)
+    def tracked_draw(seed, block, lo, n, cz0):
+        z = draw(seed, block, lo, n, cz0)
         with lock:
-            drawn.append(block)
+            drawn.append(lo)
             alive[0] += 1
             peak[0] = max(peak[0], alive[0])
         weakref.finalize(z[0], released)
@@ -183,7 +182,7 @@ def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
     want = figure1_scan(seed=3, samples=24 * 1024 - 5, thetas=thetas, threads=1)
     # the pool caps its workers at the usable CPUs; eight workers on any machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(analysis, "_draw_cone_block", tracked_draw)
+    monkeypatch.setattr(analysis, "_draw_cone_chunk", tracked_draw)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -192,7 +191,7 @@ def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
             drawn.clear()
             got = figure1_scan(seed=3, samples=24 * 1024 - 5, thetas=thetas, threads=threads)
             assert got == want
-            assert sorted(drawn) == list(range(24))
+            assert sorted(drawn) == list(range(0, 24 * 1024, 1024))
             assert alive[0] == 0
             assert 1 <= peak[0] <= threads
     finally:
@@ -200,13 +199,13 @@ def test_scan_holds_at_most_one_block_per_worker(monkeypatch):
 
 
 def _count_pending_tasks(monkeypatch):
-    """Patch in an executor that counts tasks submitted and not returned: [pending, peak].
+    """Patch in an executor that counts tasks: [pending, peak pending, submitted].
 
     A task counts as returned before its future is done, so the scan never
     sees a result whose task still counts as pending.
     """
     lock = threading.Lock()
-    counts = [0, 0]
+    counts = [0, 0, 0]
 
     def counted(fn, *args, **kwargs):
         try:
@@ -220,57 +219,52 @@ def _count_pending_tasks(monkeypatch):
             with lock:
                 counts[0] += 1
                 counts[1] = max(counts[1], counts[0])
+                counts[2] += 1
             return super().submit(counted, fn, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingExecutor)
     return counts
 
 
-def test_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
-    # The scan submits as it goes: at most W blocks are in flight, each with
-    # its draw and its theta evaluations, so at most W * (thetas + 1) tasks
-    # are pending, however many blocks the sweep has (24 here, 504
-    # evaluations in all); a draw submits all its evaluations before it
-    # returns, so at least thetas + 1 are pending once.
-    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
+@pytest.mark.parametrize("n_thetas", [1, 21])
+def test_scan_bookkeeping_does_not_grow_with_the_chunk_count(monkeypatch, n_thetas):
+    # The scan submits as it goes: 2 W tasks at first, then one per task
+    # folded, so at most 2 W tasks are pending however many chunks the sweep
+    # has (24 here) and however many thetas each task evaluates.  Every draw
+    # waits until 2 W tasks were submitted, so that all 2 W are pending once.
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1024)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    counts = _count_pending_tasks(monkeypatch)
-    thetas = tuple(0.25 + k / 80.0 for k in range(21))
+    thetas = tuple(0.25 + k / 80.0 for k in range(n_thetas))
     want = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=1)
-    for threads in (1, 2, 3):
-        counts[1] = 0
-        got = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=threads)
-        assert got == want and counts[0] == 0
-        assert len(thetas) + 1 <= counts[1] <= threads * (len(thetas) + 1)
-
-
-def test_one_theta_scan_bookkeeping_does_not_grow_with_the_block_count(monkeypatch):
-    # 24 blocks of one theta each: at most W blocks with a draw and an
-    # evaluation each, 2 W tasks, are pending, and a draw with its
-    # evaluation, 2, at least once
-    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    want = figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=1)
     counts = _count_pending_tasks(monkeypatch)
+    draw = analysis._draw_cone_chunk
+
+    def draw_once_all_submitted(*args):
+        deadline = time.monotonic() + 10.0
+        while counts[2] < 2 * threads and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return draw(*args)
+
+    monkeypatch.setattr(analysis, "_draw_cone_chunk", draw_once_all_submitted)
     for threads in (1, 2, 3):
-        counts[1] = 0
-        got = figure1_scan(seed=3, samples=24 * 1024, thetas=(0.3,), threads=threads)
-        assert got == want and counts[0] == 0
-        assert 2 <= counts[1] <= 2 * threads
+        counts[1] = counts[2] = 0
+        got = figure1_scan(seed=3, samples=24 * 1024, thetas=thetas, threads=threads)
+        assert got == want and counts[0] == 0 and counts[2] == 24
+        assert counts[1] == 2 * threads
 
 
-def test_one_theta_scan_evaluates_one_block_per_worker_at_once(monkeypatch):
-    # 24 blocks of one theta.  The first min(W, 24) evaluations wait at a
+def test_one_theta_scan_evaluates_one_chunk_per_worker_at_once(monkeypatch):
+    # 24 chunks of one theta.  The first min(W, 24) evaluations wait at a
     # barrier of as many parties: a driver that runs fewer at once breaks it
     # at the timeout, and the scan raises.
-    monkeypatch.setattr(analysis, "BLOCK_SAMPLES", 1024)
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1024)
     want = complex_z0_scan((0.3,), seed=3, samples=24 * 1024, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     batch_max = analysis._batch_max
     lock = threading.Lock()
     calls, running, peak = [0], [0], [0]
 
-    def held(theta, *block):
+    def held(theta, *chunk):
         with lock:
             calls[0] += 1
             first = calls[0] <= barrier.parties
@@ -279,7 +273,7 @@ def test_one_theta_scan_evaluates_one_block_per_worker_at_once(monkeypatch):
         try:
             if first:
                 barrier.wait()
-            return batch_max(theta, *block)
+            return batch_max(theta, *chunk)
         finally:
             with lock:
                 running[0] -= 1
@@ -293,8 +287,8 @@ def test_one_theta_scan_evaluates_one_block_per_worker_at_once(monkeypatch):
 
 
 def test_an_error_inside_a_scan_task_ends_the_scan_with_it(monkeypatch, capsys):
-    # the 5th of 2 blocks x 4 thetas fails; a draw may then still submit into
-    # the pool while it shuts down, which must neither hang nor leak a thread
+    # the 5th of 5 chunks x 4 thetas fails, the first evaluation of chunk 1;
+    # the scan raises it, with no thread left behind
     batch_max = analysis._batch_max
     lock = threading.Lock()
     calls = [0]
@@ -321,25 +315,28 @@ def test_an_error_inside_a_scan_task_ends_the_scan_with_it(monkeypatch, capsys):
     assert threading.active_count() == before
 
 
-def test_a_failed_scan_task_cancels_the_queued_ones(monkeypatch):
-    # 20 blocks x 101 thetas on one worker: the 5th evaluation fails while the
-    # other 96 of its block are queued; only the one the worker holds then runs
-    batch_max = analysis._batch_max
-    calls = [0]
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_failed_scan_task_cancels_the_queued_ones(monkeypatch, threads):
+    # 80 chunks: the first chunk's draw fails at once, while the other
+    # W - 1 workers are slowly drawing chunks 1 .. W - 1 and W more tasks
+    # are queued.  No task that had not started runs: the freed worker may
+    # pick up one more before the driver cancels, so at most W + 1 start.
+    draw = analysis._draw_cone_chunk
+    started = []
 
-    def fifth_fails(*args):
-        calls[0] += 1
-        if calls[0] == 5:
+    def first_fails(seed, block, lo, n, cz0):
+        started.append((block, lo))
+        if (block, lo) == (0, 0):
             raise MemoryError("boom")
-        if calls[0] > 5:
-            time.sleep(0.02)  # gives the driver time to cancel before the next starts
-        return batch_max(*args)
+        time.sleep(0.1)
+        return draw(seed, block, lo, n, cz0)
 
-    monkeypatch.setattr(analysis, "_batch_max", fifth_fails)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(analysis, "_draw_cone_chunk", first_fails)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="^boom$"):
-        figure1_scan(seed=1, samples=20 * BLOCK_SAMPLES, threads=1)
-    assert calls[0] <= 6
+        figure1_scan(seed=1, samples=20 * BLOCK_SAMPLES, thetas=(0.3, 0.45), threads=threads)
+    assert (0, 0) in started and len(started) <= threads + 1
     assert threading.active_count() == before
 
 
@@ -767,11 +764,11 @@ def test_grid_scans_do_not_depend_on_batching(monkeypatch):
 
 @pytest.mark.parametrize("complex_z0", [True, False], ids=["complex_block", "real_block"])
 def test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk(complex_z0):
-    # _max_scan keeps W blocks and W * thetas tasks alive on the assumption
-    # that evaluating a block costs O(chunk), not O(block): S's three arrays
-    # of one slice, then |S| beside S.  Called as the scan calls it, with the
-    # block's theta-free sum, so S makes no array for zz.
-    batch = analysis._draw_cone_block(2, 0, BLOCK_SAMPLES, complex_z0)
+    # _batch_max evaluates a batch of any size in O(chunk) memory, not
+    # O(batch): S's three arrays of one slice, then |S| beside S.  Called on
+    # a block-sized cone batch with its theta-free sum, as a scan task calls
+    # it on its chunk, so S makes no array for zz.
+    batch = analysis._draw_cone_chunk(2, 0, 0, BLOCK_SAMPLES, complex_z0)
     assert np.broadcast(*batch).size > 3 * analysis._SCAN_CHUNK
     zz = batch[0] + (batch[1] + batch[2])
     tracemalloc.start()
@@ -793,10 +790,16 @@ def _whole_block_cone_pair(r):
     return re1 + 1j * im1, re2 + 1j * im2
 
 
+def _whole_block_uniforms(seed, stream, block, n, cols):
+    """One (n, cols) uniform draw of a whole block, from its own Philox generator."""
+    philox = np.random.Philox(key=seed | stream << 64, counter=block << 128)
+    return np.random.Generator(philox).random((n, cols))
+
+
 def _whole_block_cone_draw(seed, block, n, complex_z0):
-    """One (n, 7 or 8) uniform matrix and whole-block arrays: the reference of the chunked draw."""
+    """One (n, 7 or 8) uniform matrix and whole-block arrays: the reference of the chunk draw."""
     stream = analysis._COMPLEX_STREAM_BASE if complex_z0 else 0
-    r = analysis._block_generator(seed, stream, block).random((n, 8 if complex_z0 else 7))
+    r = _whole_block_uniforms(seed, stream, block, n, 8 if complex_z0 else 7)
     z1, z2 = _whole_block_cone_pair(r)
     y = 2.0 * np.sqrt(z1.real * z2.real)
     rad = 2.0 * r[:, 0] - 1.0
@@ -805,21 +808,32 @@ def _whole_block_cone_draw(seed, block, n, complex_z0):
     return (rad * y).astype(complex), z1, z2
 
 
+@pytest.mark.parametrize("chunk", [16384, 4096])
 @pytest.mark.parametrize("complex_z0", [False, True])
 @pytest.mark.parametrize("n", [1, 7, 16383, 16384, 16385, 3392, 65536])
-def test_chunked_cone_draw_matches_the_whole_block_draw(n, complex_z0):
-    # chunk boundaries at 16384 rows; 3392 is the last block of 200 000 samples
+def test_chunked_cone_draw_matches_the_whole_block_draw(monkeypatch, n, complex_z0, chunk):
+    # the first n rows of a block, drawn chunk by chunk, each chunk on its
+    # own: chunk boundaries at 16384 rows, or at 4096 so that the numbers
+    # drawn are seen not to depend on the chunk size; 3392 is the last block
+    # of 200 000 samples
     assert analysis._SCAN_CHUNK == 16384
+    # _uniforms starts row lo at counter step lo * cols / 4, a whole step
+    assert chunk * (8 if complex_z0 else 7) % 4 == 0
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", chunk)
     for seed, block in ((1, 0), (4242, 3)):
-        got = analysis._draw_cone_block(seed, block, n, complex_z0)
+        parts = [analysis._draw_cone_chunk(seed, block, lo, min(chunk, n - lo), complex_z0)
+                 for lo in range(0, n, chunk)]
+        got = [np.concatenate(z) for z in zip(*parts)]
         want = _whole_block_cone_draw(seed, block, n, complex_z0)
         assert [z.tobytes() for z in got] == [z.tobytes() for z in want]
 
 
-def test_lemma2_min_gap_matches_the_whole_block_draw():
+@pytest.mark.parametrize("chunk", [16384, 4096])
+def test_lemma2_min_gap_matches_the_whole_block_draw(monkeypatch, chunk):
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", chunk)
     worst = math.inf
-    for b, n in analysis._blocks(3, SMALL):
-        r = analysis._block_generator(3, analysis._LEMMA2_STREAM, b).random((n, 7))
+    for b, n in enumerate((BLOCK_SAMPLES, SMALL - BLOCK_SAMPLES)):
+        r = _whole_block_uniforms(3, analysis._LEMMA2_STREAM, b, n, 7)
         worst = min(worst, float(np.min(lemma2_gap(1.0 - r[:, 0], *_whole_block_cone_pair(r)))))
     assert lemma2_random_min_gap(seed=3, samples=SMALL) == worst
 
@@ -855,13 +869,14 @@ def _traced_peak(f):
 # block-sized temporary costs a block-sized heap (the old 4 MiB uniform
 # matrix) or, once glibc maps each one, an mmap and its page faults per call
 # (a whole-block evaluation made figure1 30 % slower).  These guard the draw
-# and the lemma-2 sweep as
+# of one chunk and the lemma-2 sweep as
 # test_batch_max_holds_at_most_three_complex_arrays_of_one_chunk guards the
 # evaluation.
 @pytest.mark.parametrize("complex_z0", [False, True])
-def test_cone_draw_holds_its_outputs_and_at_most_2_mib_more(complex_z0):
-    peak = _traced_peak(lambda: analysis._draw_cone_block(1, 0, 65536, complex_z0))
-    assert peak <= 3 * 16 * 65536 + (2 << 20)
+def test_cone_chunk_draw_holds_its_outputs_and_at_most_2_mib_more(complex_z0):
+    n = analysis._SCAN_CHUNK
+    peak = _traced_peak(lambda: analysis._draw_cone_chunk(1, 0, 0, n, complex_z0))
+    assert peak <= 3 * 16 * 16384 + (2 << 20)
 
 
 def test_lemma2_sweep_holds_under_4_mib():
@@ -991,7 +1006,7 @@ def test_witness_exists_below_threshold_only():
         thm4_witness_search(0.0)
 
 
-@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf, "0.3", 1j])
 @pytest.mark.parametrize("call", [
     lambda t: verify_theorem(3, theta=t),
     lambda t: figure1_scan(samples=10, thetas=(0.3, t)),
@@ -1009,6 +1024,24 @@ def test_witness_exists_below_threshold_only():
 def test_theta_outside_the_positive_reals_is_a_domain_error(call, theta):
     with pytest.raises(DomainError, match=f"^theta must be positive and finite, got {theta!r}$"):
         call(theta)
+
+
+_NOT_ITERABLE = "thetas must be an iterable of theta values, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: figure1_scan(samples=10, thetas=(0.3, None)), "theta must be positive and finite, got None"),
+    (lambda: complex_z0_scan((None,), samples=10), "theta must be positive and finite, got None"),
+    (lambda: figure1_scan(samples=10, thetas=0.3), _NOT_ITERABLE + "0.3"),
+    (lambda: complex_z0_scan(0.3, samples=10), _NOT_ITERABLE + "0.3"),
+    (lambda: complex_z0_scan(None, samples=10), _NOT_ITERABLE + "None"),
+], ids=["figure1_scan-None", "complex_z0_scan-None", "figure1_scan-float", "complex_z0_scan-float",
+        "complex_z0_scan-thetas-None"])
+def test_scan_theta_none_or_a_bare_number_is_a_domain_error(call, message):
+    # a scan's thetas are an iterable of values, None among them an error;
+    # verify_theorem(3, theta=None) instead means its default thetas
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.40, 0.41, 5.0 / 12.0, 0.45])

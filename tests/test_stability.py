@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from mcs_adi.analysis import _SCAN_CHUNK, BLOCK_SAMPLES, _draw_cone_block
+from mcs_adi.analysis import _SCAN_CHUNK, _draw_cone_chunk
 from mcs_adi.stability import (
     DomainError,
     PoleError,
@@ -125,12 +125,12 @@ def _reference_stability_function(theta, z0, z1, z2):
 
 def _scan_batches():
     """(name, z0, z1, z2) of every kind of batch the scans evaluate."""
-    cplx = _draw_cone_block(3, 0, BLOCK_SAMPLES, True)
-    real = _draw_cone_block(3, 1, BLOCK_SAMPLES, False)
-    yield "complex_z0_block", *cplx
+    cplx = _draw_cone_chunk(3, 0, 0, _SCAN_CHUNK, True)
+    real = _draw_cone_chunk(3, 1, 3 * _SCAN_CHUNK, _SCAN_CHUNK, False)
+    yield "complex_z0_chunk", *cplx
     yield "complex_z0_one_element", *(z[:1] for z in cplx)
-    yield "real_z0_block", *real
-    yield "real_z0_block_float_z0", real[0].real.copy(), *real[1:]
+    yield "real_z0_chunk", *real
+    yield "real_z0_chunk_float_z0", real[0].real.copy(), *real[1:]
     mags = 10.0 ** np.linspace(-3.0, 3.0, 1201)
     b = np.concatenate([-mags[::-1], mags])
     step = _SCAN_CHUNK // b.size  # the grid rows of one evaluation chunk
@@ -157,11 +157,11 @@ def test_evaluation_is_bit_identical_to_the_expression(theta):
         got = stability_function(theta, z0, z1, z2)
         assert np.asarray(want).dtype == np.asarray(got).dtype, name
         assert np.array_equal(want, got), name
-        # the scans hand in the theta-free sum once per block
+        # the scans hand in the theta-free sum once per chunk
         hoisted = stability_function(theta, z0, z1, z2, zz=z0 + (z1 + z2))
         assert np.asarray(hoisted).dtype == np.asarray(want).dtype, name
         assert np.array_equal(want, hoisted), name
-        if name == "thm2_band":
+        if name == "thm2_grid":
             assert got.dtype == np.float64
 
 
